@@ -8,7 +8,7 @@
 
 use eplace_bench::timing::{bench, report_speedup};
 use eplace_exec::ExecConfig;
-use eplace_spectral::{Complex, DctPlan, FftPlan, SpectralEngine, Transform2d};
+use eplace_spectral::{Complex, DctPlan, FftPlan, Transform2d};
 use std::hint::black_box;
 
 fn bench_fft() {
@@ -43,11 +43,10 @@ fn bench_transform2d() {
     println!("poisson_transform_round");
     for &n in &[64usize, 128, 256, 512] {
         let data: Vec<f64> = (0..n * n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-        let run = |label: &str, exec: ExecConfig, engine: SpectralEngine| {
+        let run = |label: &str, exec: ExecConfig| {
             let mut t = Transform2d::new(n, n)
                 .unwrap_or_else(|e| panic!("{e}"))
-                .with_exec(exec)
-                .with_engine(engine);
+                .with_exec(exec);
             bench(&format!("{label}/{n}x{n}"), 20, || {
                 // One density-solve's worth of transforms: analysis + three
                 // syntheses.
@@ -62,25 +61,9 @@ fn bench_transform2d() {
                 (psi, fx, fy)
             })
         };
-        let serial = run("serial", ExecConfig::serial(), SpectralEngine::V1);
-        let parallel = run(
-            &format!("threads={}", exec.threads()),
-            exec,
-            SpectralEngine::V1,
-        );
+        let serial = run("serial", ExecConfig::serial());
+        let parallel = run(&format!("threads={}", exec.threads()), exec);
         report_speedup(&format!("transform_round/{n}x{n}"), &serial, &parallel);
-        let serial_v2 = run("serial-v2", ExecConfig::serial(), SpectralEngine::V2);
-        report_speedup(&format!("engine_v2_serial/{n}x{n}"), &serial, &serial_v2);
-        let parallel_v2 = run(
-            &format!("threads={}-v2", exec.threads()),
-            exec,
-            SpectralEngine::V2,
-        );
-        report_speedup(
-            &format!("engine_v2_parallel/{n}x{n}"),
-            &parallel,
-            &parallel_v2,
-        );
     }
 }
 

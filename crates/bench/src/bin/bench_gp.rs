@@ -4,12 +4,11 @@
 //! gradient, density deposit + spectral Poisson solve — on benchgen suites
 //! at three sizes, records the median per-iteration wall time plus the
 //! per-phase span breakdown from `eplace-obs`, and writes `BENCH_gp.json`
-//! at the repository root. A separate `transform` record times one Poisson
-//! transform round at grid 256 under both spectral engines and reports the
-//! v2/v1 median speedup. The file is re-parsed with the journal's own
+//! at the repository root. A separate `transform` record holds the median
+//! wall time of one Poisson transform round (analysis plus the three
+//! syntheses) at grid 256. The file is re-parsed with the journal's own
 //! JSON reader before the program exits 0, so a zero exit status certifies
-//! a well-formed, finite result — and fails (exit 1) when the engine-v2
-//! transform round is slower than v1 (speedup < 1.0).
+//! a well-formed result whose timings are all finite and positive.
 //!
 //! ```text
 //! cargo run --release --bin bench_gp              # full 3-size sweep
@@ -30,14 +29,13 @@ use eplace_density::grid_dimension;
 use eplace_exec::ExecConfig;
 use eplace_obs::json::{parse_json, JsonValue};
 use eplace_obs::{Obs, Record};
-use eplace_spectral::{SpectralEngine, Transform2d};
+use eplace_spectral::Transform2d;
 use std::fmt::Write as _;
 
 const SUITE_SIZES: &[usize] = &[1_000, 4_000, 16_000];
 const WARMUP_STEPS: usize = 3;
-/// Grid side for the engine-v1-vs-v2 transform-round comparison — the
-/// production mGP grid size the spectral-engine-v2 speedup target is
-/// quoted at.
+/// Grid side for the transform-round timing — the production mGP grid of
+/// the largest suite.
 const TRANSFORM_GRID: usize = 256;
 
 struct Options {
@@ -141,27 +139,16 @@ fn bench_suite(cells: usize, samples: usize, exec: ExecConfig) -> String {
 }
 
 /// Benchmarks one Poisson-solve transform round (analysis DCT-II plus the
-/// three syntheses) at `dim × dim` under both spectral engines and returns
-/// the comparison as a JSON object. The `speedup` field is the engine-v2
-/// gate: `validate` fails the run when it drops below 1.0.
-///
-/// v1 and v2 samples are interleaved (one of each per iteration) so that
-/// slow machine drift — thermal throttling, a neighbour landing on the
-/// core — hits both engines equally and cancels out of the ratio.
+/// three syntheses) at `dim × dim` and returns its median as a JSON object.
 fn bench_transform(dim: usize, samples: usize, exec: ExecConfig) -> String {
     let data: Vec<f64> = (0..dim * dim)
         .map(|i| ((i * 7 % 13) as f64) - 6.0)
         .collect();
-    let engine = |kind: SpectralEngine| {
-        Transform2d::new(dim, dim)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .with_exec(exec)
-            .with_engine(kind)
-    };
-    let mut v1 = engine(SpectralEngine::V1);
-    let mut v2 = engine(SpectralEngine::V2);
-    let round = |t: &mut Transform2d, data: &[f64]| {
-        let mut a = data.to_vec();
+    let mut t = Transform2d::new(dim, dim)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .with_exec(exec);
+    let m = bench(&format!("transform_round/{dim}x{dim}"), samples, || {
+        let mut a = data.clone();
         t.dct2(&mut a);
         let mut psi = a.clone();
         t.dct3(&mut psi);
@@ -170,39 +157,11 @@ fn bench_transform(dim: usize, samples: usize, exec: ExecConfig) -> String {
         let mut fy = a;
         t.dst3_y(&mut fy);
         (psi, fx, fy)
-    };
-    // Warm up both engines (plan caches, scratch pools, branch predictors)
-    // before any timed sample.
-    std::hint::black_box(round(&mut v1, &data));
-    std::hint::black_box(round(&mut v2, &data));
-    let mut v1_ns = Vec::with_capacity(samples);
-    let mut v2_ns = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(round(&mut v1, &data));
-        v1_ns.push(t0.elapsed().as_nanos() as u64);
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(round(&mut v2, &data));
-        v2_ns.push(t0.elapsed().as_nanos() as u64);
-    }
-    let median = |ns: &mut Vec<u64>| {
-        ns.sort_unstable();
-        ns[ns.len() / 2]
-    };
-    let v1_median = median(&mut v1_ns);
-    let v2_median = median(&mut v2_ns);
-    let speedup = v1_median as f64 / v2_median.max(1) as f64;
-    eprintln!(
-        "transform_round/{dim}x{dim}: v1 {:.1} µs, v2 {:.1} µs, speedup {speedup:.2}x",
-        v1_median as f64 / 1e3,
-        v2_median as f64 / 1e3,
-    );
+    });
     Record::new("transform")
         .u64_field("grid", dim as u64)
-        .u64_field("samples", samples as u64)
-        .u64_field("v1_median_ns", v1_median)
-        .u64_field("v2_median_ns", v2_median)
-        .f64_field("speedup", speedup)
+        .u64_field("samples", m.samples as u64)
+        .u64_field("median_ns", m.median.as_nanos() as u64)
         .into_line()
 }
 
@@ -239,23 +198,15 @@ fn validate(doc: &str) -> Result<(), String> {
             }
         }
     }
-    let transform = parsed.get("transform").ok_or("missing transform object")?;
-    for key in ["v1_median_ns", "v2_median_ns"] {
-        let v = transform
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("transform missing numeric {key}"))?;
-        if !v.is_finite() || v <= 0.0 {
-            return Err(format!("transform {key} = {v} is not finite and positive"));
-        }
-    }
-    let speedup = transform
-        .get("speedup")
+    let median = parsed
+        .get("transform")
+        .ok_or("missing transform object")?
+        .get("median_ns")
         .and_then(JsonValue::as_f64)
-        .ok_or("transform missing numeric speedup")?;
-    if !speedup.is_finite() || speedup < 1.0 {
+        .ok_or("transform missing numeric median_ns")?;
+    if !median.is_finite() || median <= 0.0 {
         return Err(format!(
-            "engine v2 transform round regressed: v2/v1 speedup {speedup:.3} < 1.0"
+            "transform median_ns = {median} is not finite and positive"
         ));
     }
     Ok(())

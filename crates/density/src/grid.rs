@@ -2,7 +2,7 @@ use crate::SMOOTH_FACTOR;
 use eplace_exec::{deterministic_chunks, for_each_chunk_pooled, ExecConfig};
 use eplace_geometry::{overlap_1d, Point, Rect, Size};
 use eplace_obs::{Obs, DURATION_NS_EDGES};
-use eplace_spectral::{SpectralEngine, Transform2d};
+use eplace_spectral::Transform2d;
 use std::f64::consts::PI;
 
 /// Below this object count the deposit always runs serially: the per-chunk
@@ -220,23 +220,6 @@ impl DensityGrid {
     /// Builder-style [`DensityGrid::set_exec`].
     pub fn with_exec(mut self, exec: ExecConfig) -> Self {
         self.set_exec(exec);
-        self
-    }
-
-    /// Selects the spectral engine for all three solver transforms.
-    /// [`SpectralEngine::V1`] (the default) reproduces the historical
-    /// results bit for bit; [`SpectralEngine::V2`] runs the symmetry-halved
-    /// mixed-radix kernels — same mathematics, different (faster) rounding
-    /// order, still bitwise invariant across thread counts.
-    pub fn set_engine(&mut self, engine: SpectralEngine) {
-        self.transform.set_engine(engine);
-        self.transform_psi.set_engine(engine);
-        self.transform_fx.set_engine(engine);
-    }
-
-    /// Builder-style [`DensityGrid::set_engine`].
-    pub fn with_engine(mut self, engine: SpectralEngine) -> Self {
-        self.set_engine(engine);
         self
     }
 

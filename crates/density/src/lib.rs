@@ -50,7 +50,6 @@ mod grid;
 
 pub use bellshape::BellShapeDensity;
 pub use congestion::CongestionMap;
-pub use eplace_spectral::SpectralEngine;
 pub use grid::{DensityGrid, DensityObject};
 
 /// Fraction by which a cell dimension must exceed the bin dimension before

@@ -112,18 +112,6 @@ impl<'a> EplaceCost<'a> {
         self
     }
 
-    /// Selects the spectral engine used by the density grid's Poisson solve.
-    /// See [`eplace_density::SpectralEngine`] for the V1/V2 contract.
-    pub fn set_spectral_engine(&mut self, engine: eplace_density::SpectralEngine) {
-        self.grid.set_engine(engine);
-    }
-
-    /// Builder form of [`EplaceCost::set_spectral_engine`].
-    pub fn with_spectral_engine(mut self, engine: eplace_density::SpectralEngine) -> Self {
-        self.set_spectral_engine(engine);
-        self
-    }
-
     /// Sets the observability recorder for the cost and both kernels: the
     /// WA model gets `wa_gradient`/`wa_eval` spans, the density grid gets
     /// `density_deposit`/`density_solve` spans plus the

@@ -176,7 +176,6 @@ fn run_guarded(
 
     let mut cost = EplaceCost::new(design, problem, dim, dim, cfg.enable_preconditioner)
         .with_exec(cfg.exec())
-        .with_spectral_engine(cfg.spectral_engine)
         .with_obs(obs.clone());
     cost.fault = cfg.fault;
 

@@ -63,7 +63,6 @@ pub use trace::{
     RuntimeProfile, Stage, StageTiming,
 };
 
-pub use eplace_density::SpectralEngine;
 pub use eplace_obs::{Obs, PhaseTime};
 pub use eplace_route::{RoutabilityReport, RouteConfig};
 
@@ -125,13 +124,6 @@ pub struct EplaceConfig {
     /// ≥ 2 yields one deterministic result independent of the actual thread
     /// count — see [`eplace_exec`].
     pub threads: usize,
-    /// Spectral engine for the density grid's Poisson solve.
-    /// [`SpectralEngine::V1`] (the default) is the bit-exact historical
-    /// radix-2 path — the golden trace contract; [`SpectralEngine::V2`]
-    /// runs the symmetry-halved mixed-radix kernels, which compute the same
-    /// transforms faster with a different last-ulps rounding order while
-    /// staying bitwise invariant across thread counts within themselves.
-    pub spectral_engine: SpectralEngine,
     /// Iterations between rollback checkpoints of the guarded
     /// global-placement loop (0 disables periodic snapshots; the pre-loop
     /// state is always kept).
@@ -208,7 +200,6 @@ impl Default for EplaceConfig {
             lambda_mu_min: 0.75,
             delta_hpwl_ref_frac: 0.03,
             threads: 1,
-            spectral_engine: SpectralEngine::V1,
             checkpoint_interval: 10,
             recovery_retries: 3,
             recovery_alpha_scale: 0.1,

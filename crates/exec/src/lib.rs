@@ -172,7 +172,7 @@ where
 /// row of a row-major grid), distributing whole units across workers. Every
 /// unit is written by exactly one worker and units are disjoint, so the
 /// output is bitwise identical for every thread count. Each worker gets one
-/// scratch object from `make_scratch`, reused across all its units.
+/// scratch object from `scratch_init`, reused across all its units.
 ///
 /// # Panics
 ///
@@ -181,7 +181,7 @@ pub fn for_each_unit<T, S, M, F>(
     exec: &ExecConfig,
     data: &mut [T],
     unit_len: usize,
-    make_scratch: M,
+    scratch_init: M,
     work: F,
 ) where
     T: Send,
@@ -199,7 +199,7 @@ pub fn for_each_unit<T, S, M, F>(
     );
     let units = data.len() / unit_len;
     if exec.is_serial() || units <= 1 {
-        let mut scratch = make_scratch();
+        let mut scratch = scratch_init();
         for (i, unit) in data.chunks_mut(unit_len).enumerate() {
             work(i, unit, &mut scratch);
         }
@@ -217,10 +217,10 @@ pub fn for_each_unit<T, S, M, F>(
             rest = tail;
             let start = first_unit;
             first_unit += take / unit_len;
-            let make_scratch = &make_scratch;
+            let scratch_init = &scratch_init;
             let work = &work;
             scope.spawn(move || {
-                let mut scratch = make_scratch();
+                let mut scratch = scratch_init();
                 for (k, unit) in mine.chunks_mut(unit_len).enumerate() {
                     work(start + k, unit, &mut scratch);
                 }
@@ -231,7 +231,7 @@ pub fn for_each_unit<T, S, M, F>(
 
 /// [`for_each_unit`] with caller-owned scratch: instead of building one
 /// scratch per worker per call, `pool` is topped up to the worker count with
-/// `make_scratch` (on the calling thread) and each worker borrows one slot,
+/// `scratch_init` (on the calling thread) and each worker borrows one slot,
 /// so steady-state calls allocate nothing. Scratch contents persist between
 /// calls; `work` must not read scratch state it has not written this call —
 /// the same contract the per-worker reuse across units already imposes.
@@ -244,7 +244,7 @@ pub fn for_each_unit_pooled<T, S, M, F>(
     data: &mut [T],
     unit_len: usize,
     pool: &mut Vec<S>,
-    make_scratch: M,
+    scratch_init: M,
     work: F,
 ) where
     T: Send,
@@ -267,7 +267,7 @@ pub fn for_each_unit_pooled<T, S, M, F>(
         exec.threads().min(units)
     };
     while pool.len() < workers {
-        pool.push(make_scratch());
+        pool.push(scratch_init());
     }
     if workers == 1 {
         let scratch = &mut pool[0];
@@ -386,7 +386,7 @@ pub fn for_each_unit_scheduled<T, S, M, F>(
     data: &mut [T],
     unit_len: usize,
     pool: &mut Vec<S>,
-    make_scratch: M,
+    scratch_init: M,
     work: F,
 ) where
     T: Send,
@@ -410,7 +410,7 @@ pub fn for_each_unit_scheduled<T, S, M, F>(
     );
     let workers = schedule.workers();
     while pool.len() < workers {
-        pool.push(make_scratch());
+        pool.push(scratch_init());
     }
     if workers == 1 {
         let scratch = &mut pool[0];
@@ -442,7 +442,7 @@ pub fn for_each_unit_scheduled<T, S, M, F>(
 
 /// [`map_chunks`] with caller-owned per-chunk state: chunk `i` of
 /// `num_chunks` fixed ranges of `0..len` runs `work(i, range, &mut pool[i])`
-/// exactly once, with `pool` topped up beforehand via `make_scratch` (on the
+/// exactly once, with `pool` topped up beforehand via `scratch_init` (on the
 /// calling thread). After the call `pool[..num_chunks]` holds the per-chunk
 /// results in chunk order — reduce them front-to-back for a thread-count
 /// invariant result, then hand the same pool back next call so steady-state
@@ -453,7 +453,7 @@ pub fn for_each_chunk_pooled<S, M, F>(
     len: usize,
     num_chunks: usize,
     pool: &mut Vec<S>,
-    make_scratch: M,
+    scratch_init: M,
     work: F,
 ) where
     S: Send,
@@ -462,7 +462,7 @@ pub fn for_each_chunk_pooled<S, M, F>(
 {
     let num_chunks = num_chunks.max(1);
     while pool.len() < num_chunks {
-        pool.push(make_scratch());
+        pool.push(scratch_init());
     }
     if exec.is_serial() || num_chunks == 1 {
         for (i, scratch) in pool.iter_mut().enumerate().take(num_chunks) {

@@ -1,12 +1,8 @@
-use crate::fft::HalfFft;
 use crate::{Complex, FftPlan, Pow2};
 use eplace_errors::EplaceError;
 use std::f64::consts::PI;
 
 /// A reusable plan for cosine/sine transforms of one fixed power-of-two size.
-///
-/// All transforms run in `O(N log N)` via Makhoul's repacking onto a single
-/// `N`-point complex FFT:
 ///
 /// * [`DctPlan::dct2`] — forward DCT-II (the analysis step of the Poisson
 ///   solve),
@@ -15,20 +11,24 @@ use std::f64::consts::PI;
 ///   potential ψ,
 /// * [`DctPlan::dst3`] — DST-III-style synthesis, used for the field ξ.
 ///
-/// The hot-path structure exploits the real-valued input end to end while
-/// staying bit-for-bit identical to the textbook pipeline it replaces:
+/// Every transform folds its length-`N` real line into one length-`N/2`
+/// complex [`FftPlan`] (Makhoul's even/odd repacking into the real and
+/// imaginary lanes), so it costs `O(N log N)` with half the butterfly work
+/// of a full-size complex FFT:
 ///
-/// * the forward path loads the real input through a precomputed
-///   permutation that fuses Makhoul's even/odd reorder with the FFT's
-///   bit-reversal (a real-to-complex gather; no separate pack or swap pass),
-///   and the post-twiddle keeps only the real component each output needs;
-/// * the synthesis paths rebuild the Hermitian spectrum directly in
-///   bit-reversed order from precomputed conjugate twiddles, run the raw
-///   inverse butterflies, and fuse the `1/N` normalization (and the DCT-III
-///   `N/2` scale / DST sign flips) into the unpacking store;
-/// * the `*_inplace` variants read the whole line into scratch before any
-///   store, so each row/column of a 2-D pass transforms without a bounce
-///   buffer.
+/// * the forward path gathers the fold straight from the real line inside
+///   the FFT's first pass, then unfolds each conjugate bin pair into two
+///   DCT outputs;
+/// * the synthesis paths rebuild the Hermitian half-spectrum, refold it into
+///   one half-size inverse input, and fuse the inverse-Makhoul unpack, the
+///   normalization, the caller's scale and the DST sign flips into the
+///   FFT's last pass.
+///
+/// The allocating methods above are conveniences. The solver runs the
+/// in-place strided kernels ([`DctPlan::dct2_strided`] and friends), which
+/// transform the line `data[offset + i·stride]` out of a caller-owned
+/// [`DctScratch`]: a grid row (`stride = 1`) or column (`stride = nx`)
+/// transforms with no staging copy and no allocation.
 ///
 /// # Examples
 ///
@@ -46,52 +46,43 @@ use std::f64::consts::PI;
 #[derive(Debug, Clone)]
 pub struct DctPlan {
     size: usize,
+    /// The half-size complex FFT of length `N/2` every transform runs.
     fft: FftPlan,
-    /// `e^{-iπu/(2N)}` for `u < N` — forward post-twiddles.
-    fwd_twiddles: Vec<Complex>,
-    /// Exact conjugates of `fwd_twiddles` — synthesis pre-twiddles
-    /// (conjugation only negates the imaginary part, so the table agrees
-    /// bit-for-bit with the per-call `conj()` it replaces).
+    /// `Re(e^{-iπ/4})`, the forward post-twiddle of the purely real
+    /// Nyquist-pair bin `N/2`.
+    nyquist: f64,
+    /// Synthesis pre-twiddles `e^{+iπu/(2N)}` for `u ≤ N/2` (exact
+    /// conjugates of the forward post-twiddles `e^{-iπu/(2N)}`).
     inv_twiddles: Vec<Complex>,
-    /// Fused input permutation for the forward path:
-    /// `packed_rev[j] = makhoul(bit_rev[j])` where `makhoul` maps FFT slot
-    /// `i` to source index `2i` (first half) or `2(N−1−i)+1` (second half).
-    /// One gather replaces the pack pass plus the in-place swap pass.
-    packed_rev: Vec<u32>,
-    /// Engine-v2 mixed-radix Stockham FFT of length `N/2` — the folded-real
-    /// half-size kernel every v2 transform runs instead of the full-size FFT.
-    half: HalfFft,
-    /// Engine-v2 forward unfold twiddles `s[u] = i·e^{−2πiu/N}` for
-    /// `u ≤ N/2`: `U[u] = (Z[u]+conj(Z[H−u])) − s[u]·(Z[u]−conj(Z[H−u]))`
-    /// recovers twice the full-size spectrum bin from the half-spectrum
+    /// Forward unfold twiddles `s[u] = i·e^{−2πiu/N}` for `u ≤ N/2`:
+    /// `U[u] = (Z[u]+conj(Z[H−u])) − s[u]·(Z[u]−conj(Z[H−u]))` recovers
+    /// twice the full-size spectrum bin from the half-spectrum
     /// symmetric/antisymmetric parts.
     unfold: Vec<Complex>,
-    /// Engine-v2 forward projections with the unfold's `1/2` pre-folded:
-    /// `[g.re, g.im, g'.re, g'.im]` where `g = fwd_twiddles[u]/2` and
-    /// `g' = fwd_twiddles[N−u]/2`, so `C[u] = g.re·U.re − g.im·U.im` and
+    /// Forward projections with the unfold's `1/2` pre-folded:
+    /// `[g.re, g.im, g'.re, g'.im]` where `g = e^{-iπu/(2N)}/2` and
+    /// `g' = e^{-iπ(N−u)/(2N)}/2`, so `C[u] = g.re·U.re − g.im·U.im` and
     /// `C[N−u] = g'.re·U.re + g'.im·U.im` cost no extra scaling pass.
     /// Slot 0 is unused (bins 0 and H are handled separately).
     fwd_half: Vec<[f64; 4]>,
-    /// Engine-v2 synthesis refold twiddles `e^{+2πiu/N}` for `u < N/2`,
-    /// recombining the even/odd half-spectra into the half-size inverse
-    /// input.
+    /// Synthesis refold twiddles `e^{+2πiu/N}` for `u < N/2`, recombining
+    /// the even/odd half-spectra into the half-size inverse input.
     refold: Vec<Complex>,
 }
 
-/// Reusable work buffers for the `*_scratch` transform variants.
+/// Reusable work buffers for the strided transform kernels.
 ///
-/// The `*_into` entry points allocate these buffers on every call; a hot
-/// loop (the placer runs four grid transforms per Nesterov iteration)
+/// The allocating [`DctPlan`] conveniences build one of these per call; a
+/// hot loop (the placer runs four grid transforms per Nesterov iteration)
 /// constructs one `DctScratch` per plan size and reuses it instead.
 #[derive(Debug, Clone)]
 pub struct DctScratch {
-    /// Complex FFT workspace (v1 full-size path).
-    freq: Vec<Complex>,
-    /// Engine-v2 half-size ping-pong buffer A (`N/2` slots).
+    size: usize,
+    /// Half-size FFT ping-pong buffer A (`N/2` slots).
     half_a: Vec<Complex>,
-    /// Engine-v2 half-size ping-pong buffer B (`N/2` slots).
+    /// Half-size FFT ping-pong buffer B (`N/2` slots).
     half_b: Vec<Complex>,
-    /// Engine-v2 natural-order Hermitian half-spectrum (`N/2 + 1` slots).
+    /// Natural-order Hermitian half-spectrum (`N/2 + 1` slots).
     vh: Vec<Complex>,
 }
 
@@ -100,7 +91,7 @@ impl DctScratch {
     pub fn new(size: usize) -> Self {
         let h = size / 2;
         DctScratch {
-            freq: vec![Complex::ZERO; size],
+            size,
             half_a: vec![Complex::ZERO; h],
             half_b: vec![Complex::ZERO; h],
             vh: vec![Complex::ZERO; h + 1],
@@ -110,26 +101,41 @@ impl DctScratch {
     /// The plan size this scratch serves.
     #[inline]
     pub fn len(&self) -> usize {
-        self.freq.len()
+        self.size
     }
 
     /// `true` for size-zero scratch (never produced by the solver).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.freq.is_empty()
+        self.size == 0
     }
 }
 
-/// Which fused post-pass a synthesis store applies.
+/// Which synthesis a [`DctPlan::synth`] call performs.
 #[derive(Clone, Copy)]
 enum Synth {
     /// `1/N` normalization only (exact inverse of `dct2`).
     Idct2,
-    /// `1/N` then `N/2` — the DCT-III scale.
+    /// The DCT-III scale `(1/N)·(N/2)`.
     Dct3,
-    /// DCT-III scale plus the DST's alternating sign flip on odd outputs.
+    /// DCT-III over reversed coefficients plus the DST's alternating sign
+    /// flip on odd outputs.
     Dst3,
 }
+
+impl Synth {
+    fn name(self) -> &'static str {
+        match self {
+            Synth::Idct2 => "idct2",
+            Synth::Dct3 => "dct3",
+            Synth::Dst3 => "dst3",
+        }
+    }
+}
+
+/// An in-place kernel over a whole contiguous line, as the allocating
+/// conveniences run it.
+type LineKernel = fn(&DctPlan, &mut [f64], &mut DctScratch);
 
 impl DctPlan {
     /// Builds a plan for transforms of length `size`.
@@ -144,30 +150,10 @@ impl DctPlan {
 
     /// Builds a plan from a checked-at-construction size — infallible.
     pub fn for_pow2(size: Pow2) -> Self {
-        let fft = FftPlan::for_pow2(size);
         let size = size.get();
-        let fwd_twiddles: Vec<Complex> = (0..size)
-            .map(|u| Complex::from_polar_unit(-PI * u as f64 / (2 * size) as f64))
-            .collect();
-        let inv_twiddles = fwd_twiddles.iter().map(|w| w.conj()).collect();
-        let packed_rev = if size == 1 {
-            vec![0]
-        } else {
-            fft.bit_rev_table()
-                .iter()
-                .map(|&j| {
-                    let i = j as usize;
-                    if i < size / 2 {
-                        2 * i as u32
-                    } else {
-                        (2 * (size - 1 - i) + 1) as u32
-                    }
-                })
-                .collect()
-        };
         let h = size / 2;
-        let half = HalfFft::new(Pow2(h.max(1)));
-        debug_assert_eq!(half.len(), h.max(1));
+        let fwd_twiddle = |u: usize| Complex::from_polar_unit(-PI * u as f64 / (2 * size) as f64);
+        let inv_twiddles = (0..=h).map(|u| fwd_twiddle(u).conj()).collect();
         let unfold: Vec<Complex> = (0..=h)
             .map(|u| Complex::from_polar_unit(-2.0 * PI * u as f64 / size as f64).mul_i())
             .collect();
@@ -176,8 +162,8 @@ impl DctPlan {
                 if u == 0 {
                     [0.0; 4]
                 } else {
-                    let g = fwd_twiddles[u];
-                    let gn = fwd_twiddles[size - u];
+                    let g = fwd_twiddle(u);
+                    let gn = fwd_twiddle(size - u);
                     [0.5 * g.re, 0.5 * g.im, 0.5 * gn.re, 0.5 * gn.im]
                 }
             })
@@ -187,11 +173,9 @@ impl DctPlan {
             .collect();
         DctPlan {
             size,
-            fft,
-            fwd_twiddles,
+            fft: FftPlan::for_pow2(Pow2(h.max(1))),
+            nyquist: fwd_twiddle(h).re,
             inv_twiddles,
-            packed_rev,
-            half,
             unfold,
             fwd_half,
             refold,
@@ -214,153 +198,6 @@ impl DctPlan {
         assert_eq!(len, self.size, "{what} length mismatch");
     }
 
-    /// Forward DCT-II: `X[u] = Σ_n x[n]·cos(π·u·(2n+1)/(2N))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from the plan size.
-    pub fn dct2(&self, input: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.size];
-        self.dct2_into(input, &mut out);
-        out
-    }
-
-    /// [`DctPlan::dct2`] writing into a caller-provided buffer (allocates
-    /// scratch; prefer [`DctPlan::dct2_scratch`] in loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn dct2_into(&self, input: &[f64], out: &mut [f64]) {
-        self.dct2_scratch(input, out, &mut DctScratch::new(self.size));
-    }
-
-    /// [`DctPlan::dct2`] using caller-owned scratch, so repeated transforms
-    /// are allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice or scratch length differs from the plan size.
-    pub fn dct2_scratch(&self, input: &[f64], out: &mut [f64], scratch: &mut DctScratch) {
-        self.check(input.len(), "dct2 input");
-        self.check(out.len(), "dct2 output");
-        self.check(scratch.len(), "dct2 scratch");
-        if self.size == 1 {
-            out[0] = input[0];
-            return;
-        }
-        self.dct2_load(input, &mut scratch.freq);
-        self.fft.butterflies(&mut scratch.freq, false);
-        self.dct2_store(&scratch.freq, out);
-    }
-
-    /// [`DctPlan::dct2`] transforming `data` in place (the input is fully
-    /// gathered into scratch before the first store).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice or scratch length differs from the plan size.
-    pub fn dct2_inplace(&self, data: &mut [f64], scratch: &mut DctScratch) {
-        self.check(data.len(), "dct2 input");
-        self.check(scratch.len(), "dct2 scratch");
-        if self.size == 1 {
-            return;
-        }
-        self.dct2_load(data, &mut scratch.freq);
-        self.fft.butterflies(&mut scratch.freq, false);
-        self.dct2_store(&scratch.freq, data);
-    }
-
-    /// [`DctPlan::dct2_inplace`] over the strided line
-    /// `data[offset + i·stride]` — one column of a row-major 2-D grid
-    /// transforms directly, with no bounce through a contiguous staging
-    /// buffer. The element values and every operation on them are identical
-    /// to gather → contiguous transform → scatter, so the output bits are
-    /// too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn dct2_strided(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scratch: &mut DctScratch,
-    ) {
-        self.check_strided(data.len(), offset, stride, "dct2");
-        self.check(scratch.len(), "dct2 scratch");
-        if self.size == 1 {
-            return;
-        }
-        for (slot, &src) in scratch.freq.iter_mut().zip(&self.packed_rev) {
-            *slot = Complex::from(data[offset + src as usize * stride]);
-        }
-        self.fft.butterflies(&mut scratch.freq, false);
-        for (u, (z, t)) in scratch.freq.iter().zip(&self.fwd_twiddles).enumerate() {
-            data[offset + u * stride] = z.re * t.re - z.im * t.im;
-        }
-    }
-
-    /// [`DctPlan::dct3_inplace`] over the strided line
-    /// `data[offset + i·stride]`, with `scale` multiplying every stored
-    /// output — the caller's elementwise post-scale pass fused into the
-    /// store (`v·scale` exactly as the separate pass computes it; pass
-    /// `1.0` for none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn dct3_strided(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scale: f64,
-        scratch: &mut DctScratch,
-    ) {
-        self.synth_strided(
-            data,
-            offset,
-            stride,
-            scale,
-            scratch,
-            Synth::Dct3,
-            false,
-            "dct3",
-        )
-    }
-
-    /// [`DctPlan::dst3_inplace`] over the strided line
-    /// `data[offset + i·stride]`, with `scale` fused into the store (see
-    /// [`DctPlan::dct3_strided`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn dst3_strided(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scale: f64,
-        scratch: &mut DctScratch,
-    ) {
-        self.synth_strided(
-            data,
-            offset,
-            stride,
-            scale,
-            scratch,
-            Synth::Dst3,
-            true,
-            "dst3",
-        )
-    }
-
     fn check_strided(&self, len: usize, offset: usize, stride: usize, what: &str) {
         assert!(stride > 0, "{what} stride must be positive");
         assert!(
@@ -369,89 +206,77 @@ impl DctPlan {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn synth_strided(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scale: f64,
-        scratch: &mut DctScratch,
-        mode: Synth,
-        reversed: bool,
-        what: &str,
-    ) {
-        self.check_strided(data.len(), offset, stride, what);
-        self.check(scratch.len(), what);
-        let n = self.size;
-        if n == 1 {
-            data[offset] = self.synth_size_one(data[offset], mode) * scale;
-            return;
-        }
-        if reversed {
-            for (slot, &ju) in scratch.freq.iter_mut().zip(self.fft.bit_rev_table()) {
-                let u = ju as usize;
-                *slot = if u == 0 {
-                    Complex::ZERO
-                } else {
-                    Complex::new(data[offset + (n - u) * stride], -data[offset + u * stride])
-                        * self.inv_twiddles[u]
-                };
-            }
-        } else {
-            for (slot, &ju) in scratch.freq.iter_mut().zip(self.fft.bit_rev_table()) {
-                let u = ju as usize;
-                *slot = if u == 0 {
-                    Complex::from(data[offset])
-                } else {
-                    Complex::new(data[offset + u * stride], -data[offset + (n - u) * stride])
-                        * self.inv_twiddles[u]
-                };
-            }
-        }
-        self.fft.butterflies(&mut scratch.freq, true);
-        let inv_n = 1.0 / n as f64;
-        let half_n = n as f64 / 2.0;
-        match mode {
-            Synth::Idct2 => {
-                for i in 0..n / 2 {
-                    data[offset + 2 * i * stride] = (scratch.freq[i].re * inv_n) * scale;
-                    data[offset + (2 * i + 1) * stride] =
-                        (scratch.freq[n - 1 - i].re * inv_n) * scale;
-                }
-            }
-            Synth::Dct3 => {
-                for i in 0..n / 2 {
-                    data[offset + 2 * i * stride] = ((scratch.freq[i].re * inv_n) * half_n) * scale;
-                    data[offset + (2 * i + 1) * stride] =
-                        ((scratch.freq[n - 1 - i].re * inv_n) * half_n) * scale;
-                }
-            }
-            Synth::Dst3 => {
-                for i in 0..n / 2 {
-                    data[offset + 2 * i * stride] = ((scratch.freq[i].re * inv_n) * half_n) * scale;
-                    data[offset + (2 * i + 1) * stride] =
-                        (-((scratch.freq[n - 1 - i].re * inv_n) * half_n)) * scale;
-                }
-            }
-        }
+    /// Runs `kernel` over a copy of `input` with fresh scratch.
+    fn allocating(&self, input: &[f64], what: &str, kernel: LineKernel) -> Vec<f64> {
+        self.check(input.len(), what);
+        let mut out = input.to_vec();
+        kernel(self, &mut out, &mut DctScratch::new(self.size));
+        out
     }
 
-    /// Engine-v2 forward DCT-II over the strided line
-    /// `data[offset + i·stride]`, in place.
+    /// Forward DCT-II: `X[u] = Σ_n x[n]·cos(π·u·(2n+1)/(2N))`.
     ///
-    /// Folds the length-`N` real input into a length-`N/2` complex FFT
+    /// # Panics
+    ///
+    /// Panics if `input.len()` differs from the plan size.
+    pub fn dct2(&self, input: &[f64]) -> Vec<f64> {
+        self.allocating(input, "dct2", |p, d, s| p.dct2_strided(d, 0, 1, s))
+    }
+
+    /// Exact inverse of [`DctPlan::dct2`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coeffs.len()` differs from the plan size.
+    pub fn idct2(&self, coeffs: &[f64]) -> Vec<f64> {
+        self.allocating(coeffs, "idct2", |p, d, s| p.idct2_strided(d, 0, 1, s))
+    }
+
+    /// DCT-III synthesis:
+    /// `y[n] = X[0]/2 + Σ_{u≥1} X[u]·cos(π·u·(2n+1)/(2N))`.
+    ///
+    /// Satisfies `dct3(dct2(x)) == (N/2)·x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coeffs.len()` differs from the plan size.
+    pub fn dct3(&self, coeffs: &[f64]) -> Vec<f64> {
+        self.allocating(coeffs, "dct3", |p, d, s| p.dct3_strided(d, 0, 1, 1.0, s))
+    }
+
+    /// DST-III-style synthesis used for the electric field:
+    /// `y[n] = Σ_{u=1}^{N-1} b[u]·sin(π·u·(2n+1)/(2N))`.
+    ///
+    /// `b[0]` multiplies the identically-zero basis function `sin(0)` and is
+    /// therefore ignored.
+    ///
+    /// Implemented through the identity
+    /// `sin(πu(2n+1)/(2N)) = (−1)ⁿ·cos(π(N−u)(2n+1)/(2N))`, which turns the
+    /// sine synthesis into a coefficient-reversed [`DctPlan::dct3`] followed
+    /// by alternating sign flips; the reversal is fused into the spectrum
+    /// rebuild and the sign flips into the unpacking store, so no extra
+    /// passes run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coeffs.len()` differs from the plan size.
+    pub fn dst3(&self, coeffs: &[f64]) -> Vec<f64> {
+        self.allocating(coeffs, "dst3", |p, d, s| p.dst3_strided(d, 0, 1, 1.0, s))
+    }
+
+    /// [`DctPlan::dct2`] in place over the strided line
+    /// `data[offset + i·stride]`.
+    ///
+    /// Folds the length-`N` real line into a length-`N/2` complex FFT
     /// (Makhoul pack of even/odd samples into real/imaginary lanes), runs
     /// the mixed-radix half-size kernel, then unfolds each conjugate bin
-    /// pair back to two DCT outputs. Same transform convention as
-    /// [`DctPlan::dct2`], but the restructured arithmetic rounds differently
-    /// at the last ulps — see [`crate::SpectralEngine`].
+    /// pair back to two DCT outputs. Elements off the line are untouched.
     ///
     /// # Panics
     ///
     /// Panics if the scratch length differs from the plan size or the
     /// strided line runs past `data`.
-    pub fn dct2_v2(
+    pub fn dct2_strided(
         &self,
         data: &mut [f64],
         offset: usize,
@@ -476,10 +301,10 @@ impl DctPlan {
         } else if n == 4 {
             scratch.half_a[0] = Complex::new(data[offset], data[offset + 2 * stride]);
             scratch.half_a[1] = Complex::new(data[offset + 3 * stride], data[offset + stride]);
-            self.half
+            self.fft
                 .run(&mut scratch.half_a, &mut scratch.half_b, false)
         } else {
-            self.half.run_folded_fwd(
+            self.fft.run_folded_fwd(
                 data,
                 offset,
                 stride,
@@ -495,7 +320,7 @@ impl DctPlan {
         // Bin 0 and the Nyquist-pair bin H are purely real.
         let z0 = z[0];
         data[offset] = z0.re + z0.im;
-        data[offset + h * stride] = self.fwd_twiddles[h].re * (z0.re - z0.im);
+        data[offset + h * stride] = self.nyquist * (z0.re - z0.im);
         // Each u < H yields twice the full-size spectrum bin
         // `U[u] = (Z[u] + conj(Z[H−u])) − s[u]·(Z[u] − conj(Z[H−u]))`; the
         // half-scaled projection tables absorb the 1/2, and Hermitian
@@ -517,44 +342,33 @@ impl DctPlan {
         }
     }
 
-    /// Engine-v2 exact inverse of the DCT-II over the strided line
-    /// `data[offset + i·stride]`, in place. Same convention as
-    /// [`DctPlan::idct2`]; rounds differently from v1 at the last ulps.
+    /// [`DctPlan::idct2`] in place over the strided line
+    /// `data[offset + i·stride]`.
     ///
     /// # Panics
     ///
     /// Panics if the scratch length differs from the plan size or the
     /// strided line runs past `data`.
-    pub fn idct2_v2(
+    pub fn idct2_strided(
         &self,
         data: &mut [f64],
         offset: usize,
         stride: usize,
         scratch: &mut DctScratch,
     ) {
-        self.synth_v2(
-            data,
-            offset,
-            stride,
-            1.0,
-            scratch,
-            Synth::Idct2,
-            false,
-            "idct2",
-        )
+        self.synth(data, offset, stride, 1.0, scratch, Synth::Idct2)
     }
 
-    /// Engine-v2 DCT-III synthesis over the strided line
+    /// [`DctPlan::dct3`] in place over the strided line
     /// `data[offset + i·stride]`, with `scale` fused into the store as
     /// `(value)·scale` — bitwise identical to synthesizing with scale `1.0`
-    /// and scaling afterwards. Same convention as [`DctPlan::dct3`]; rounds
-    /// differently from v1 at the last ulps.
+    /// and scaling afterwards.
     ///
     /// # Panics
     ///
     /// Panics if the scratch length differs from the plan size or the
     /// strided line runs past `data`.
-    pub fn dct3_v2(
+    pub fn dct3_strided(
         &self,
         data: &mut [f64],
         offset: usize,
@@ -562,28 +376,18 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_v2(
-            data,
-            offset,
-            stride,
-            scale,
-            scratch,
-            Synth::Dct3,
-            false,
-            "dct3",
-        )
+        self.synth(data, offset, stride, scale, scratch, Synth::Dct3)
     }
 
-    /// Engine-v2 DST-III synthesis over the strided line
+    /// [`DctPlan::dst3`] in place over the strided line
     /// `data[offset + i·stride]`, with `scale` fused into the store (see
-    /// [`DctPlan::dct3_v2`]). Same convention as [`DctPlan::dst3`]; rounds
-    /// differently from v1 at the last ulps.
+    /// [`DctPlan::dct3_strided`]).
     ///
     /// # Panics
     ///
     /// Panics if the scratch length differs from the plan size or the
     /// strided line runs past `data`.
-    pub fn dst3_v2(
+    pub fn dst3_strided(
         &self,
         data: &mut [f64],
         offset: usize,
@@ -591,21 +395,13 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_v2(
-            data,
-            offset,
-            stride,
-            scale,
-            scratch,
-            Synth::Dst3,
-            true,
-            "dst3",
-        )
+        self.synth(data, offset, stride, scale, scratch, Synth::Dst3)
     }
 
-    /// Engine-v2 synthesis core: rebuild the natural-order Hermitian
-    /// half-spectrum `Vh[u] = conj(W[u])·(X[u] − i·X[N−u])` for `u ≤ H`,
-    /// refold the even/odd halves into one half-size inverse input
+    /// Synthesis core: rebuild the natural-order Hermitian half-spectrum
+    /// `Vh[u] = conj(W[u])·(X[u] − i·X[N−u])` for `u ≤ H` (coefficients read
+    /// mirrored for the DST), refold the even/odd halves into one half-size
+    /// inverse input
     /// `Zc[u] = (Vh[u] + conj(Vh[H−u])) + i·e^{2πiu/N}·(Vh[u] − conj(Vh[H−u]))`,
     /// run the unscaled half-size inverse FFT, and unpack
     /// `y[2m] = Re(z[m])·post`, `y[2m+1] = Im(z[m])·post` through the
@@ -613,8 +409,7 @@ impl DctPlan {
     /// the exact idct2 and `1/2` (= `(1/N)·(N/2)`) for the DCT-III/DST-III
     /// scale; the store computes `(value·post)·scale` so a fused `scale` is
     /// bitwise identical to a separate scaling pass.
-    #[allow(clippy::too_many_arguments)]
-    fn synth_v2(
+    fn synth(
         &self,
         data: &mut [f64],
         offset: usize,
@@ -622,9 +417,8 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
         mode: Synth,
-        reversed: bool,
-        what: &str,
     ) {
+        let what = mode.name();
         self.check_strided(data.len(), offset, stride, what);
         self.check(scratch.len(), what);
         let n = self.size;
@@ -632,11 +426,12 @@ impl DctPlan {
             data[offset] = self.synth_size_one(data[offset], mode) * scale;
             return;
         }
+        let dst = matches!(mode, Synth::Dst3);
         let h = n / 2;
         let vh = &mut scratch.vh;
         let mut iu = offset + stride;
         let mut ib = offset + (n - 1) * stride;
-        if reversed {
+        if dst {
             vh[0] = Complex::ZERO;
             for (slot, w) in vh[1..].iter_mut().zip(&self.inv_twiddles[1..=h]) {
                 *slot = Complex::new(data[ib], -data[iu]) * *w;
@@ -669,9 +464,7 @@ impl DctPlan {
             Synth::Dct3 | Synth::Dst3 => 0.5,
         };
         if n == 2 {
-            let in_b = self
-                .half
-                .run(&mut scratch.half_a, &mut scratch.half_b, true);
+            let in_b = self.fft.run(&mut scratch.half_a, &mut scratch.half_b, true);
             let z: &[Complex] = if in_b {
                 &scratch.half_b
             } else {
@@ -680,10 +473,7 @@ impl DctPlan {
             // H = 1: slot 0 lands on even output 0, slot 1 on odd output 1.
             data[offset] = (z[0].re * post) * scale;
             let odd = z[0].im * post;
-            data[offset + stride] = match mode {
-                Synth::Dst3 => (-odd) * scale,
-                _ => odd * scale,
-            };
+            data[offset + stride] = if dst { (-odd) * scale } else { odd * scale };
             return;
         }
         // For n ≥ 4, H is even: pairs with m < H/2 land on even output
@@ -691,7 +481,7 @@ impl DctPlan {
         // (2N−1−4m, 2N−3−4m) — the mirror of the forward fold gather. The
         // inverse-Makhoul store (with post/scale and the DST sign flip on
         // odd outputs) is fused into the half-FFT's final pass.
-        self.half.run_refolded_inv(
+        self.fft.run_refolded_inv(
             &mut scratch.half_a,
             &mut scratch.half_b,
             data,
@@ -699,263 +489,16 @@ impl DctPlan {
             stride,
             post,
             scale,
-            matches!(mode, Synth::Dst3),
+            dst,
         );
-    }
-
-    /// Real-to-complex gather through the fused Makhoul + bit-reversal
-    /// permutation.
-    fn dct2_load(&self, input: &[f64], freq: &mut [Complex]) {
-        for (slot, &src) in freq.iter_mut().zip(&self.packed_rev) {
-            *slot = Complex::from(input[src as usize]);
-        }
-    }
-
-    /// Post-twiddle keeping only the real component:
-    /// `out[u] = Re(freq[u]·w[u])` — the identical multiply-subtract the
-    /// full complex product performs for its real part.
-    fn dct2_store(&self, freq: &[Complex], out: &mut [f64]) {
-        for ((o, z), t) in out.iter_mut().zip(freq).zip(&self.fwd_twiddles) {
-            *o = z.re * t.re - z.im * t.im;
-        }
-    }
-
-    /// Exact inverse of [`DctPlan::dct2`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len()` differs from the plan size.
-    pub fn idct2(&self, coeffs: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.size];
-        self.idct2_into(coeffs, &mut out);
-        out
-    }
-
-    /// [`DctPlan::idct2`] writing into a caller-provided buffer (allocates
-    /// scratch; prefer [`DctPlan::idct2_scratch`] in loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn idct2_into(&self, coeffs: &[f64], out: &mut [f64]) {
-        self.idct2_scratch(coeffs, out, &mut DctScratch::new(self.size));
-    }
-
-    /// [`DctPlan::idct2`] using caller-owned scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice or scratch length differs from the plan size.
-    pub fn idct2_scratch(&self, coeffs: &[f64], out: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_scratch(coeffs, out, scratch, Synth::Idct2, false, "idct2")
-    }
-
-    /// [`DctPlan::idct2`] transforming `data` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice or scratch length differs from the plan size.
-    pub fn idct2_inplace(&self, data: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_inplace(data, scratch, Synth::Idct2, false, "idct2")
-    }
-
-    /// DCT-III synthesis:
-    /// `y[n] = X[0]/2 + Σ_{u≥1} X[u]·cos(π·u·(2n+1)/(2N))`.
-    ///
-    /// Satisfies `dct3(dct2(x)) == (N/2)·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len()` differs from the plan size.
-    pub fn dct3(&self, coeffs: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.size];
-        self.dct3_into(coeffs, &mut out);
-        out
-    }
-
-    /// [`DctPlan::dct3`] writing into a caller-provided buffer (allocates
-    /// scratch; prefer [`DctPlan::dct3_scratch`] in loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn dct3_into(&self, coeffs: &[f64], out: &mut [f64]) {
-        self.dct3_scratch(coeffs, out, &mut DctScratch::new(self.size));
-    }
-
-    /// [`DctPlan::dct3`] using caller-owned scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice or scratch length differs from the plan size.
-    pub fn dct3_scratch(&self, coeffs: &[f64], out: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_scratch(coeffs, out, scratch, Synth::Dct3, false, "dct3")
-    }
-
-    /// [`DctPlan::dct3`] transforming `data` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice or scratch length differs from the plan size.
-    pub fn dct3_inplace(&self, data: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_inplace(data, scratch, Synth::Dct3, false, "dct3")
-    }
-
-    /// DST-III-style synthesis used for the electric field:
-    /// `y[n] = Σ_{u=1}^{N-1} b[u]·sin(π·u·(2n+1)/(2N))`.
-    ///
-    /// `b[0]` multiplies the identically-zero basis function `sin(0)` and is
-    /// therefore ignored.
-    ///
-    /// Implemented through the identity
-    /// `sin(πu(2n+1)/(2N)) = (−1)ⁿ·cos(π(N−u)(2n+1)/(2N))`, which turns the
-    /// sine synthesis into a coefficient-reversed [`DctPlan::dct3`] followed
-    /// by alternating sign flips; the reversal is fused into the spectrum
-    /// rebuild and the sign flips into the unpacking store, so no extra
-    /// passes run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len()` differs from the plan size.
-    pub fn dst3(&self, coeffs: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.size];
-        self.dst3_into(coeffs, &mut out);
-        out
-    }
-
-    /// [`DctPlan::dst3`] writing into a caller-provided buffer (allocates
-    /// scratch; prefer [`DctPlan::dst3_scratch`] in loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn dst3_into(&self, coeffs: &[f64], out: &mut [f64]) {
-        self.dst3_scratch(coeffs, out, &mut DctScratch::new(self.size));
-    }
-
-    /// [`DctPlan::dst3`] using caller-owned scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice or scratch length differs from the plan size.
-    pub fn dst3_scratch(&self, coeffs: &[f64], out: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_scratch(coeffs, out, scratch, Synth::Dst3, true, "dst3")
-    }
-
-    /// [`DctPlan::dst3`] transforming `data` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice or scratch length differs from the plan size.
-    pub fn dst3_inplace(&self, data: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_inplace(data, scratch, Synth::Dst3, true, "dst3")
-    }
-
-    fn synth_scratch(
-        &self,
-        coeffs: &[f64],
-        out: &mut [f64],
-        scratch: &mut DctScratch,
-        mode: Synth,
-        reversed: bool,
-        what: &str,
-    ) {
-        self.check(coeffs.len(), what);
-        self.check(out.len(), what);
-        self.check(scratch.len(), what);
-        if self.size == 1 {
-            out[0] = self.synth_size_one(coeffs[0], mode);
-            return;
-        }
-        self.synth_load(coeffs, &mut scratch.freq, reversed);
-        self.fft.butterflies(&mut scratch.freq, true);
-        self.synth_store(&scratch.freq, out, mode);
-    }
-
-    fn synth_inplace(
-        &self,
-        data: &mut [f64],
-        scratch: &mut DctScratch,
-        mode: Synth,
-        reversed: bool,
-        what: &str,
-    ) {
-        self.check(data.len(), what);
-        self.check(scratch.len(), what);
-        if self.size == 1 {
-            data[0] = self.synth_size_one(data[0], mode);
-            return;
-        }
-        self.synth_load(data, &mut scratch.freq, reversed);
-        self.fft.butterflies(&mut scratch.freq, true);
-        self.synth_store(&scratch.freq, data, mode);
     }
 
     fn synth_size_one(&self, coeff: f64, mode: Synth) -> f64 {
         match mode {
             Synth::Idct2 => coeff,
-            // Same value, same order of multiplies as the historical
-            // idct2-then-scale pipeline: c · (N/2) with N = 1.
+            // c · (N/2) with N = 1.
             Synth::Dct3 => coeff * (self.size as f64 / 2.0),
             Synth::Dst3 => 0.0,
-        }
-    }
-
-    /// Rebuilds the Hermitian FFT spectrum
-    /// `V[u] = e^{iπu/(2N)}·(X[u] − i·X[N−u])` (with `X[N] ≡ 0`) directly in
-    /// bit-reversed order, so the inverse butterflies run with no separate
-    /// permutation pass. With `reversed`, coefficients are read mirrored
-    /// (`X'[u] = X[N−u]`, `X'[0] = 0`) — the DST's coefficient reversal,
-    /// fused here instead of materialized in a second buffer.
-    fn synth_load(&self, coeffs: &[f64], freq: &mut [Complex], reversed: bool) {
-        let n = self.size;
-        if reversed {
-            for (slot, &ju) in freq.iter_mut().zip(self.fft.bit_rev_table()) {
-                let u = ju as usize;
-                *slot = if u == 0 {
-                    Complex::ZERO
-                } else {
-                    Complex::new(coeffs[n - u], -coeffs[u]) * self.inv_twiddles[u]
-                };
-            }
-        } else {
-            for (slot, &ju) in freq.iter_mut().zip(self.fft.bit_rev_table()) {
-                let u = ju as usize;
-                *slot = if u == 0 {
-                    Complex::from(coeffs[0])
-                } else {
-                    Complex::new(coeffs[u], -coeffs[n - u]) * self.inv_twiddles[u]
-                };
-            }
-        }
-    }
-
-    /// Unpacks the even/odd interleave while applying the mode's scaling:
-    /// every output performs the identical `re·(1/N)` (then `·N/2`, then
-    /// sign flip) multiply chain the historical separate passes performed.
-    fn synth_store(&self, freq: &[Complex], out: &mut [f64], mode: Synth) {
-        let n = self.size;
-        let inv_n = 1.0 / n as f64;
-        let half_n = n as f64 / 2.0;
-        match mode {
-            Synth::Idct2 => {
-                for i in 0..n / 2 {
-                    out[2 * i] = freq[i].re * inv_n;
-                    out[2 * i + 1] = freq[n - 1 - i].re * inv_n;
-                }
-            }
-            Synth::Dct3 => {
-                for i in 0..n / 2 {
-                    out[2 * i] = (freq[i].re * inv_n) * half_n;
-                    out[2 * i + 1] = (freq[n - 1 - i].re * inv_n) * half_n;
-                }
-            }
-            Synth::Dst3 => {
-                for i in 0..n / 2 {
-                    out[2 * i] = (freq[i].re * inv_n) * half_n;
-                    out[2 * i + 1] = -((freq[n - 1 - i].re * inv_n) * half_n);
-                }
-            }
         }
     }
 }
@@ -978,39 +521,49 @@ mod tests {
             .collect()
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Every size from 1 to 128 plus the production grid sizes 512 and
+    /// 1024 (`grid_max` defaults to 1024): both parities of log₂(N/2), so
+    /// the radix-4-only and radix-2-tail half FFTs, plus the special-cased
+    /// `N ≤ 4` paths.
+    const SIZES: [usize; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 512, 1024];
+
     #[test]
     fn dct2_matches_reference() {
-        for &n in &[1usize, 2, 4, 8, 32, 128] {
+        for n in SIZES {
             let plan = DctPlan::new(n).unwrap();
             let x = test_signal(n);
-            assert_close(&plan.dct2(&x), &reference::naive_dct2(&x), 1e-9);
+            assert_close(&plan.dct2(&x), &reference::naive_dct2(&x), 1e-9 * n as f64);
         }
     }
 
     #[test]
     fn idct2_inverts_dct2() {
-        for &n in &[1usize, 2, 8, 64] {
+        for n in SIZES {
             let plan = DctPlan::new(n).unwrap();
             let x = test_signal(n);
-            assert_close(&plan.idct2(&plan.dct2(&x)), &x, 1e-10);
+            assert_close(&plan.idct2(&plan.dct2(&x)), &x, 1e-10 * n as f64);
         }
     }
 
     #[test]
     fn dct3_matches_reference() {
-        for &n in &[2usize, 4, 16, 64] {
+        for n in SIZES {
             let plan = DctPlan::new(n).unwrap();
             let c = test_signal(n);
-            assert_close(&plan.dct3(&c), &reference::naive_dct3(&c), 1e-9);
+            assert_close(&plan.dct3(&c), &reference::naive_dct3(&c), 1e-9 * n as f64);
         }
     }
 
     #[test]
     fn dst3_matches_reference() {
-        for &n in &[2usize, 4, 16, 64] {
+        for n in SIZES {
             let plan = DctPlan::new(n).unwrap();
             let c = test_signal(n);
-            assert_close(&plan.dst3(&c), &reference::naive_dst3(&c), 1e-9);
+            assert_close(&plan.dst3(&c), &reference::naive_dst3(&c), 1e-9 * n as f64);
         }
     }
 
@@ -1067,227 +620,10 @@ mod tests {
     }
 
     #[test]
-    fn inplace_variants_are_bitwise_out_of_place() {
-        for &n in &[1usize, 2, 4, 16, 64] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
-            let x = test_signal(n);
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            type Pair = (
-                fn(&DctPlan, &[f64], &mut [f64], &mut DctScratch),
-                fn(&DctPlan, &mut [f64], &mut DctScratch),
-            );
-            let cases: [Pair; 4] = [
-                (DctPlan::dct2_scratch, DctPlan::dct2_inplace),
-                (DctPlan::idct2_scratch, DctPlan::idct2_inplace),
-                (DctPlan::dct3_scratch, DctPlan::dct3_inplace),
-                (DctPlan::dst3_scratch, DctPlan::dst3_inplace),
-            ];
-            for (out_of_place, in_place) in cases {
-                let mut expect = vec![0.0; n];
-                out_of_place(&plan, &x, &mut expect, &mut scratch);
-                let mut data = x.clone();
-                in_place(&plan, &mut data, &mut scratch);
-                assert_eq!(bits(&expect), bits(&data), "n {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn strided_kernels_are_bitwise_gather_transform_scatter() {
-        // The strided entry points must reproduce, bit for bit, the
-        // historical bounce-buffer pipeline: gather the strided line,
-        // transform it contiguously, apply the elementwise scale pass,
-        // scatter it back.
-        for &n in &[1usize, 2, 8, 32, 128] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
-            let (offset, stride) = (2usize, 5usize);
-            let len = offset + (n - 1) * stride + 3;
-            let base: Vec<f64> = (0..len).map(|i| (i as f64 * 0.31).sin() - 0.4).collect();
-            let gather =
-                |b: &[f64]| -> Vec<f64> { (0..n).map(|i| b[offset + i * stride]).collect() };
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            let scale = 0.37;
-
-            // dct2 (unscaled).
-            let mut line = gather(&base);
-            plan.dct2_inplace(&mut line, &mut scratch);
-            let mut strided = base.clone();
-            plan.dct2_strided(&mut strided, offset, stride, &mut scratch);
-            assert_eq!(bits(&line), bits(&gather(&strided)), "dct2 n {n}");
-
-            // dct3 and dst3, scale fused vs separate pass.
-            type Pair = (
-                fn(&DctPlan, &mut [f64], &mut DctScratch),
-                fn(&DctPlan, &mut [f64], usize, usize, f64, &mut DctScratch),
-            );
-            let cases: [(Pair, &str); 2] = [
-                ((DctPlan::dct3_inplace, DctPlan::dct3_strided), "dct3"),
-                ((DctPlan::dst3_inplace, DctPlan::dst3_strided), "dst3"),
-            ];
-            for ((contiguous, strided_fn), name) in cases {
-                let mut line = gather(&base);
-                contiguous(&plan, &mut line, &mut scratch);
-                for v in line.iter_mut() {
-                    *v *= scale;
-                }
-                let mut buf = base.clone();
-                strided_fn(&plan, &mut buf, offset, stride, scale, &mut scratch);
-                assert_eq!(bits(&line), bits(&gather(&buf)), "{name} n {n}");
-                // Untouched interstitial elements stay untouched.
-                for (i, (a, b)) in base.iter().zip(&buf).enumerate() {
-                    let on_line =
-                        i >= offset && (i - offset) % stride == 0 && (i - offset) / stride < n;
-                    if !on_line {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{name} n {n} clobbered {i}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn synthesis_stays_bitwise_compatible_with_unfused_pipeline() {
-        // The fused loads/stores must reproduce, bit for bit, the historical
-        // pipeline: spectrum rebuild in natural order, fft.inverse (with its
-        // separate 1/N pass), unpack, then scale/sign passes.
-        for &n in &[2usize, 8, 32, 128] {
-            let plan = DctPlan::new(n).unwrap();
-            let coeffs = test_signal(n);
-            // Unfused dct2: Makhoul pack, full complex FFT (separate swap
-            // pass), complex post-twiddle taking the real part.
-            let mut packed = vec![Complex::ZERO; n];
-            for i in 0..n / 2 {
-                packed[i] = Complex::from(coeffs[2 * i]);
-                packed[n - 1 - i] = Complex::from(coeffs[2 * i + 1]);
-            }
-            plan.fft.forward(&mut packed);
-            let unfused_dct2: Vec<f64> = (0..n)
-                .map(|u| (packed[u] * plan.fwd_twiddles[u]).re)
-                .collect();
-            assert_eq!(
-                plan.dct2(&coeffs)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                unfused_dct2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "dct2 n {n}"
-            );
-            // Unfused idct2.
-            let mut buf = vec![Complex::ZERO; n];
-            buf[0] = Complex::from(coeffs[0]);
-            for u in 1..n {
-                let z = Complex::new(coeffs[u], -coeffs[n - u]);
-                buf[u] = z * plan.fwd_twiddles[u].conj();
-            }
-            plan.fft.inverse(&mut buf);
-            let mut unfused = vec![0.0; n];
-            for i in 0..n / 2 {
-                unfused[2 * i] = buf[i].re;
-                unfused[2 * i + 1] = buf[n - 1 - i].re;
-            }
-            assert_eq!(
-                plan.idct2(&coeffs)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                unfused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "idct2 n {n}"
-            );
-            // Unfused dct3 = idct2 then ×(N/2) pass.
-            let mut dct3_unfused = unfused.clone();
-            let scale = n as f64 / 2.0;
-            for v in dct3_unfused.iter_mut() {
-                *v *= scale;
-            }
-            assert_eq!(
-                plan.dct3(&coeffs)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                dct3_unfused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "dct3 n {n}"
-            );
-            // Unfused dst3 = reversed coefficients through dct3, then sign
-            // flips on odd outputs.
-            let mut reversed = vec![0.0; n];
-            for u in 1..n {
-                reversed[u] = coeffs[n - u];
-            }
-            let mut dst3_unfused = plan.dct3(&reversed);
-            for (i, v) in dst3_unfused.iter_mut().enumerate() {
-                if i % 2 == 1 {
-                    *v = -*v;
-                }
-            }
-            assert_eq!(
-                plan.dst3(&coeffs)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                dst3_unfused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "dst3 n {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn v2_kernels_match_reference() {
-        for &n in &[1usize, 2, 4, 8, 16, 32, 64, 128] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
-            let x = test_signal(n);
-            let tol = 1e-9 * n.max(1) as f64;
-
-            let mut fwd = x.clone();
-            plan.dct2_v2(&mut fwd, 0, 1, &mut scratch);
-            assert_close(&fwd, &reference::naive_dct2(&x), tol);
-
-            let mut back = fwd.clone();
-            plan.idct2_v2(&mut back, 0, 1, &mut scratch);
-            assert_close(&back, &x, tol);
-
-            let mut dct3 = x.clone();
-            plan.dct3_v2(&mut dct3, 0, 1, 1.0, &mut scratch);
-            assert_close(&dct3, &reference::naive_dct3(&x), tol);
-
-            let mut dst3 = x.clone();
-            plan.dst3_v2(&mut dst3, 0, 1, 1.0, &mut scratch);
-            assert_close(&dst3, &reference::naive_dst3(&x), tol);
-        }
-    }
-
-    #[test]
-    fn v2_agrees_with_v1_within_tolerance() {
-        // The two engines round differently at the last ulps but compute the
-        // same transform; the gap must stay at roundoff scale.
-        for &n in &[2usize, 8, 64, 256] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
-            let x = test_signal(n);
-            let tol = 1e-11 * n as f64;
-
-            let mut v2 = x.clone();
-            plan.dct2_v2(&mut v2, 0, 1, &mut scratch);
-            assert_close(&v2, &plan.dct2(&x), tol);
-
-            let mut v2 = x.clone();
-            plan.dct3_v2(&mut v2, 0, 1, 1.0, &mut scratch);
-            assert_close(&v2, &plan.dct3(&x), tol);
-
-            let mut v2 = x.clone();
-            plan.dst3_v2(&mut v2, 0, 1, 1.0, &mut scratch);
-            assert_close(&v2, &plan.dst3(&x), tol);
-        }
-    }
-
-    #[test]
-    fn v2_strided_is_bitwise_gather_transform_scatter() {
-        // Like the v1 strided test: running a v2 kernel over a strided line
-        // must be bit-identical to gathering the line, transforming it
-        // contiguously, and scattering it back — and leave interstitial
-        // elements untouched.
+    fn strided_line_is_bitwise_contiguous_line() {
+        // Running a kernel over a strided line must be bit-identical to
+        // gathering the line, transforming it contiguously, and scattering
+        // it back — and leave interstitial elements untouched.
         for &n in &[1usize, 2, 8, 32, 128] {
             let plan = DctPlan::new(n).unwrap();
             let mut scratch = DctScratch::new(n);
@@ -1296,23 +632,25 @@ mod tests {
             let base: Vec<f64> = (0..len).map(|i| (i as f64 * 0.53).cos() + 0.1).collect();
             let gather =
                 |b: &[f64]| -> Vec<f64> { (0..n).map(|i| b[offset + i * stride]).collect() };
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             let scale = 1.7;
 
             type Kernel<'a> = Box<dyn Fn(&mut [f64], usize, usize, &mut DctScratch) + 'a>;
             let p = &plan;
             let cases: [(Kernel<'_>, &str); 4] = [
-                (Box::new(move |d, o, s, sc| p.dct2_v2(d, o, s, sc)), "dct2"),
                 (
-                    Box::new(move |d, o, s, sc| p.idct2_v2(d, o, s, sc)),
+                    Box::new(move |d, o, s, sc| p.dct2_strided(d, o, s, sc)),
+                    "dct2",
+                ),
+                (
+                    Box::new(move |d, o, s, sc| p.idct2_strided(d, o, s, sc)),
                     "idct2",
                 ),
                 (
-                    Box::new(move |d, o, s, sc| p.dct3_v2(d, o, s, scale, sc)),
+                    Box::new(move |d, o, s, sc| p.dct3_strided(d, o, s, scale, sc)),
                     "dct3",
                 ),
                 (
-                    Box::new(move |d, o, s, sc| p.dst3_v2(d, o, s, scale, sc)),
+                    Box::new(move |d, o, s, sc| p.dst3_strided(d, o, s, scale, sc)),
                     "dst3",
                 ),
             ];
@@ -1334,7 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_scale_fusion_is_bitwise_separate_pass() {
+    fn scale_fusion_is_bitwise_separate_pass() {
         // The fused `scale` must equal synthesizing with scale 1.0 and then
         // multiplying — bit for bit — so the parallel 2-D path (scale in the
         // transpose-back) matches the serial fused path exactly.
@@ -1346,9 +684,9 @@ mod tests {
             for dst in [false, true] {
                 let run = |d: &mut [f64], s: f64, sc: &mut DctScratch| {
                     if dst {
-                        plan.dst3_v2(d, 0, 1, s, sc);
+                        plan.dst3_strided(d, 0, 1, s, sc);
                     } else {
-                        plan.dct3_v2(d, 0, 1, s, sc);
+                        plan.dct3_strided(d, 0, 1, s, sc);
                     }
                 };
                 let mut fused = x.clone();
@@ -1358,9 +696,7 @@ mod tests {
                 for v in separate.iter_mut() {
                     *v *= scale;
                 }
-                for (a, b) in fused.iter().zip(&separate) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "dst {dst} n {n}");
-                }
+                assert_eq!(bits(&fused), bits(&separate), "dst {dst} n {n}");
             }
         }
     }

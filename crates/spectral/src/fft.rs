@@ -2,24 +2,35 @@ use crate::{Complex, Pow2};
 use eplace_errors::EplaceError;
 use std::f64::consts::PI;
 
-/// A reusable plan for radix-2 complex FFTs of one fixed power-of-two size.
+/// One pass of the mixed-radix Stockham FFT, with its per-pass twiddles.
+#[derive(Debug, Clone)]
+enum Stage {
+    /// Radix-4 decimation-in-frequency pass over sub-length `len`:
+    /// `tw[p] = (w¹ᵖ, w²ᵖ, w³ᵖ)` with `w = e^{∓2πi/len}` for `p < len/4`.
+    Radix4 { len: usize, tw: Vec<[Complex; 3]> },
+    /// The final radix-2 pass (twiddle-free butterfly), present when
+    /// `log₂(size)` is odd.
+    Radix2,
+}
+
+/// A reusable plan for complex FFTs of one fixed power-of-two size.
 ///
-/// The plan precomputes the bit-reversal permutation and both twiddle tables
-/// (forward `e^{-2πi·k/N}` and its exact conjugate for the inverse) once;
-/// [`FftPlan::forward`] and [`FftPlan::inverse`] then run the classic
-/// iterative Cooley–Tukey butterfly in place with no per-butterfly branch or
-/// bounds check.
+/// The kernel is a self-sorting (Stockham autosort) mixed-radix FFT:
+/// radix-4 decimation-in-frequency passes, with one trailing radix-2 pass
+/// when `log₂(size)` is odd. Each pass writes its outputs already sorted for
+/// the next, so no bit-reversal permutation runs; the price is ping-ponging
+/// between two buffers. The plan precomputes every pass's twiddles for both
+/// directions once.
 ///
 /// The transform convention is the unnormalized DFT
 /// `X[k] = Σ_n x[n]·e^{-2πi·k·n/N}`; the inverse divides by `N`, so
 /// `inverse(forward(x)) == x`.
 ///
-/// Real-valued signals get two specialized entry points that are bit-for-bit
-/// compatible with the complex ones: [`FftPlan::forward_real`] fuses the
-/// real→complex widening with the bit-reversal gather (no separate permute
-/// pass), and [`FftPlan::inverse_hermitian`] synthesizes only the real
-/// output a Hermitian-symmetric spectrum can produce, fusing the `1/N`
-/// normalization into the final store and discarding the imaginary halves.
+/// [`FftPlan::forward`] and [`FftPlan::inverse`] are in-place conveniences
+/// that allocate the second buffer per call. The cosine/sine transforms of
+/// [`crate::DctPlan`] drive the passes directly out of their own
+/// [`crate::DctScratch`], with the real-signal fold fused into the first
+/// pass and the unfold fused into the last.
 ///
 /// # Examples
 ///
@@ -35,13 +46,8 @@ use std::f64::consts::PI;
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     size: usize,
-    bit_rev: Vec<u32>,
-    /// Forward twiddles `e^{-2πi·k/N}` for `k < N/2`.
-    twiddles: Vec<Complex>,
-    /// Inverse twiddles — exact conjugates of `twiddles` (conjugation only
-    /// negates the imaginary part, so the tables agree bit-for-bit with the
-    /// per-call `conj()` they replace).
-    inv_twiddles: Vec<Complex>,
+    fwd: Vec<Stage>,
+    inv: Vec<Stage>,
 }
 
 impl FftPlan {
@@ -58,246 +64,6 @@ impl FftPlan {
     /// Builds a plan from a checked-at-construction size — infallible.
     pub fn for_pow2(size: Pow2) -> Self {
         let size = size.get();
-        let bits = size.trailing_zeros();
-        let mut bit_rev = vec![0u32; size];
-        for (i, slot) in bit_rev.iter_mut().enumerate() {
-            *slot = (i as u32).reverse_bits() >> (32 - bits.max(1));
-        }
-        if size == 1 {
-            bit_rev[0] = 0;
-        }
-        let twiddles: Vec<Complex> = (0..size / 2)
-            .map(|k| Complex::from_polar_unit(-2.0 * PI * k as f64 / size as f64))
-            .collect();
-        let inv_twiddles = twiddles.iter().map(|w| w.conj()).collect();
-        FftPlan {
-            size,
-            bit_rev,
-            twiddles,
-            inv_twiddles,
-        }
-    }
-
-    /// The transform length this plan was built for.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.size
-    }
-
-    /// Returns `true` for the (degenerate but legal) length-1 plan — present
-    /// to satisfy the `len`/`is_empty` convention; a plan is never truly
-    /// empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The bit-reversal permutation table (`data[i]` pre-butterfly holds
-    /// `x[bit_rev[i]]`). The DCT layer fuses this into its own repacking.
-    #[inline]
-    pub(crate) fn bit_rev_table(&self) -> &[u32] {
-        &self.bit_rev
-    }
-
-    /// In-place forward DFT.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the plan size.
-    pub fn forward(&self, data: &mut [Complex]) {
-        self.check_len(data.len());
-        self.permute(data);
-        self.butterflies(data, false);
-    }
-
-    /// In-place inverse DFT (including the `1/N` normalization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the plan size.
-    pub fn inverse(&self, data: &mut [Complex]) {
-        self.inverse_unscaled(data);
-        let scale = 1.0 / self.size as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
-        }
-    }
-
-    /// In-place inverse DFT *without* the `1/N` normalization, for callers
-    /// that fuse the scaling into their own post-pass (the DCT/DST synthesis
-    /// kernels). `inverse` ≡ `inverse_unscaled` followed by a `1/N` scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the plan size.
-    pub fn inverse_unscaled(&self, data: &mut [Complex]) {
-        self.check_len(data.len());
-        self.permute(data);
-        self.butterflies(data, true);
-    }
-
-    /// Forward DFT of a real signal, writing the complex spectrum to `out`.
-    ///
-    /// Bit-for-bit identical to widening `input` into a zero-imaginary
-    /// complex buffer and calling [`FftPlan::forward`], but the widening is
-    /// fused with the bit-reversal permutation into a single gather, so the
-    /// separate swap pass (and its round trip over the buffer) disappears.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn forward_real(&self, input: &[f64], out: &mut [Complex]) {
-        self.check_len(input.len());
-        self.check_len(out.len());
-        for (slot, &src) in out.iter_mut().zip(&self.bit_rev) {
-            *slot = Complex::from(input[src as usize]);
-        }
-        self.butterflies(out, false);
-    }
-
-    /// Inverse DFT of a Hermitian-symmetric spectrum, writing the real
-    /// signal to `out` with the `1/N` normalization fused into the store.
-    ///
-    /// For a spectrum satisfying `X[N−k] = conj(X[k])` the inverse is purely
-    /// real, so only the real halves are normalized and stored — each output
-    /// carries the identical `re · (1/N)` multiply [`FftPlan::inverse`]
-    /// performs, making the result bit-compatible with
-    /// `inverse(spectrum)[i].re`. `spectrum` is consumed as workspace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn inverse_hermitian(&self, spectrum: &mut [Complex], out: &mut [f64]) {
-        self.check_len(spectrum.len());
-        self.check_len(out.len());
-        self.permute(spectrum);
-        self.butterflies(spectrum, true);
-        let inv_n = 1.0 / self.size as f64;
-        for (o, z) in out.iter_mut().zip(spectrum.iter()) {
-            *o = z.re * inv_n;
-        }
-    }
-
-    #[inline]
-    fn check_len(&self, len: usize) {
-        assert_eq!(
-            len, self.size,
-            "FFT buffer length {} differs from plan size {}",
-            len, self.size
-        );
-    }
-
-    /// The bit-reversal swap pass (self-inverse permutation).
-    fn permute(&self, data: &mut [Complex]) {
-        for i in 0..self.size {
-            let j = self.bit_rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-    }
-
-    /// Iterative butterfly passes over bit-reversed data. Twiddles for the
-    /// stage of half-size `half` are the chosen table strided by
-    /// `n/(2·half)`; the forward/inverse selection is a single table pick
-    /// hoisted out of the loops, and the `split_at_mut`/`zip` structure lets
-    /// the compiler drop every bounds check. Butterflies touch disjoint
-    /// pairs, so this ordering is bit-identical to any other.
-    ///
-    /// The first two stages run dedicated loops: their blocks hold one or
-    /// two butterflies, so the generic triple-iterator setup costs more than
-    /// the arithmetic it drives. The specialized loops perform the identical
-    /// multiply/add sequence per butterfly — including the multiplies by the
-    /// `(1, −0)` twiddle, which must not be skipped or signed zeros would
-    /// change — so every output bit matches the generic pass.
-    pub(crate) fn butterflies(&self, data: &mut [Complex], invert: bool) {
-        let n = self.size;
-        let tw: &[Complex] = if invert {
-            &self.inv_twiddles
-        } else {
-            &self.twiddles
-        };
-        let mut half = 1;
-        if n >= 2 {
-            let w0 = tw[0];
-            for pair in data.chunks_exact_mut(2) {
-                let t = pair[1] * w0;
-                let x = pair[0];
-                pair[0] = x + t;
-                pair[1] = x - t;
-            }
-            half = 2;
-        }
-        if n >= 4 {
-            let w0 = tw[0];
-            let w1 = tw[n / 4];
-            for block in data.chunks_exact_mut(4) {
-                let t0 = block[2] * w0;
-                let x0 = block[0];
-                block[0] = x0 + t0;
-                block[2] = x0 - t0;
-                let t1 = block[3] * w1;
-                let x1 = block[1];
-                block[1] = x1 + t1;
-                block[3] = x1 - t1;
-            }
-            half = 4;
-        }
-        while half < n {
-            let stride = n / (2 * half);
-            for block in data.chunks_exact_mut(2 * half) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((a, b), w) in lo
-                    .iter_mut()
-                    .zip(hi.iter_mut())
-                    .zip(tw.iter().step_by(stride))
-                {
-                    let t = *b * *w;
-                    let x = *a;
-                    *a = x + t;
-                    *b = x - t;
-                }
-            }
-            half *= 2;
-        }
-    }
-}
-
-/// One pass of the mixed-radix Stockham FFT, with its per-pass twiddles.
-#[derive(Debug, Clone)]
-enum HalfFftStage {
-    /// Radix-4 decimation-in-frequency pass over sub-length `len`:
-    /// `tw[p] = (w¹ᵖ, w²ᵖ, w³ᵖ)` with `w = e^{∓2πi/len}` for `p < len/4`.
-    Radix4 { len: usize, tw: Vec<[Complex; 3]> },
-    /// The final radix-2 pass (twiddle-free butterfly), present when
-    /// `log₂(size)` is odd.
-    Radix2,
-}
-
-/// Mixed-radix complex FFT used by the v2 folded-real transform kernels:
-/// self-sorting (Stockham autosort) radix-4 decimation-in-frequency passes,
-/// with one trailing radix-2 pass when `log₂(size)` is odd.
-///
-/// Compared to [`FftPlan`], this kernel needs no bit-reversal permutation
-/// (each pass writes its outputs already sorted for the next) and does ~25 %
-/// fewer complex multiplies per element thanks to the radix-4 butterflies —
-/// at the cost of ping-ponging between two buffers. It is **not** bit
-/// compatible with [`FftPlan`]; the v2 engine that uses it is validated
-/// against the `O(N²)` oracles instead.
-///
-/// `run` leaves the result in `a` or `b` depending on the pass-count parity;
-/// the returned flag says which (`true` = `b`).
-#[derive(Debug, Clone)]
-pub(crate) struct HalfFft {
-    size: usize,
-    fwd: Vec<HalfFftStage>,
-    inv: Vec<HalfFftStage>,
-}
-
-impl HalfFft {
-    /// Builds the stage list for transforms of (power-of-two) length `size`.
-    pub(crate) fn new(size: Pow2) -> Self {
-        let size = size.get();
         let build = |invert: bool| {
             let sign = if invert { 2.0 } else { -2.0 };
             let mut stages = Vec::new();
@@ -313,25 +79,71 @@ impl HalfFft {
                         ]
                     })
                     .collect();
-                stages.push(HalfFftStage::Radix4 { len: n, tw });
+                stages.push(Stage::Radix4 { len: n, tw });
                 n /= 4;
             }
             if n == 2 {
-                stages.push(HalfFftStage::Radix2);
+                stages.push(Stage::Radix2);
             }
             stages
         };
-        HalfFft {
+        FftPlan {
             size,
             fwd: build(false),
             inv: build(true),
         }
     }
 
-    /// The transform length.
+    /// The transform length this plan was built for.
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.size
+    }
+
+    /// Always `false`; present for the `len`/`is_empty` convention (the
+    /// length-1 plan is degenerate but legal).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// In-place forward DFT.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the plan size.
+    pub fn forward(&self, data: &mut [Complex]) {
+        self.run_in_place(data, false);
+    }
+
+    /// In-place inverse DFT (including the `1/N` normalization).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the plan size.
+    pub fn inverse(&self, data: &mut [Complex]) {
+        self.run_in_place(data, true);
+        let scale = 1.0 / self.size as f64;
+        for z in data.iter_mut() {
+            *z = z.scale(scale);
+        }
+    }
+
+    fn run_in_place(&self, data: &mut [Complex], invert: bool) {
+        self.check_len(data.len());
+        let mut work = vec![Complex::ZERO; self.size];
+        if self.run(data, &mut work, invert) {
+            data.copy_from_slice(&work);
+        }
+    }
+
+    #[inline]
+    fn check_len(&self, len: usize) {
+        assert_eq!(
+            len, self.size,
+            "FFT buffer length {} differs from plan size {}",
+            len, self.size
+        );
     }
 
     /// Runs the forward (`invert = false`, `X[k] = Σ x[n]·e^{-2πikn/N}`) or
@@ -343,8 +155,8 @@ impl HalfFft {
     ///
     /// Panics if either buffer length differs from the plan size.
     pub(crate) fn run(&self, a: &mut [Complex], b: &mut [Complex], invert: bool) -> bool {
-        assert_eq!(a.len(), self.size, "HalfFft buffer a length mismatch");
-        assert_eq!(b.len(), self.size, "HalfFft buffer b length mismatch");
+        self.check_len(a.len());
+        self.check_len(b.len());
         let stages = if invert { &self.inv } else { &self.fwd };
         Self::run_stages(stages, 1, a, b, invert, false).0
     }
@@ -353,7 +165,7 @@ impl HalfFft {
     /// starting at `stride` with the current data in `a` (`in_b = false`) or
     /// `b`. Returns the final `(in_b, stride)`.
     fn run_stages(
-        stages: &[HalfFftStage],
+        stages: &[Stage],
         mut stride: usize,
         a: &mut [Complex],
         b: &mut [Complex],
@@ -363,11 +175,11 @@ impl HalfFft {
         for stage in stages {
             let (src, dst) = if in_b { (&*b, &mut *a) } else { (&*a, &mut *b) };
             match stage {
-                HalfFftStage::Radix4 { len, tw } => {
+                Stage::Radix4 { len, tw } => {
                     Self::radix4_pass(*len, stride, tw, src, dst, invert);
                     stride *= 4;
                 }
-                HalfFftStage::Radix2 => {
+                Stage::Radix2 => {
                     Self::radix2_pass(stride, src, dst);
                     stride *= 2;
                 }
@@ -400,17 +212,17 @@ impl HalfFft {
         a: &mut [Complex],
         b: &mut [Complex],
     ) -> bool {
-        assert_eq!(a.len(), self.size, "HalfFft buffer a length mismatch");
-        assert_eq!(b.len(), self.size, "HalfFft buffer b length mismatch");
+        self.check_len(a.len());
+        self.check_len(b.len());
         let (first, rest) = match self.fwd.split_first() {
-            Some((HalfFftStage::Radix4 { tw, .. }, rest)) => (tw, rest),
+            Some((Stage::Radix4 { tw, .. }, rest)) => (tw, rest),
             _ => unreachable!("run_folded_fwd requires size >= 4"),
         };
         Self::radix4_first_folded(data, offset, stride, first, a);
         Self::run_stages(rest, 4, a, b, false, false).0
     }
 
-    /// The fused first pass of [`HalfFft::run_folded_fwd`]: a radix-4
+    /// The fused first pass of [`FftPlan::run_folded_fwd`]: a radix-4
     /// decimation-in-frequency butterfly whose inputs come from the folded
     /// real line. With `s = 1` the four sources for butterfly `p` are fold
     /// pairs `p`, `p + H/4`, `p + H/2`, `p + 3H/4`; resolving the Makhoul
@@ -459,7 +271,7 @@ impl HalfFft {
     /// re-reading it for the store loop, the last butterfly writes its
     /// outputs straight to the real strided line as
     /// `data[out] = (z·post)·scale` (`out` = the even/odd slot map of
-    /// [`HalfFft::run_folded_fwd`], `negate_odd` flips the sign of odd
+    /// [`FftPlan::run_folded_fwd`], `negate_odd` flips the sign of odd
     /// outputs for the DST). One full memory round trip cheaper than `run`
     /// plus a store loop; bit-identical to it because the butterfly and
     /// store arithmetic are unchanged.
@@ -482,8 +294,8 @@ impl HalfFft {
         scale: f64,
         negate_odd: bool,
     ) {
-        assert_eq!(a.len(), self.size, "HalfFft buffer a length mismatch");
-        assert_eq!(b.len(), self.size, "HalfFft buffer b length mismatch");
+        self.check_len(a.len());
+        self.check_len(b.len());
         let (last, head) = match self.inv.split_last() {
             Some(pair) => pair,
             None => unreachable!("run_refolded_inv requires size >= 2"),
@@ -494,11 +306,11 @@ impl HalfFft {
         let n = 2 * h;
         let step = 4 * stride;
         // Per-stream output cursors: two ascending even streams, two
-        // descending odd streams (see the module docs for the slot map).
+        // descending odd streams (slot map as in `run_folded_fwd`).
         let mut e0 = offset;
         let mut o0 = offset + (n - 1) * stride;
         match last {
-            HalfFftStage::Radix4 { tw, .. } => {
+            Stage::Radix4 { tw, .. } => {
                 let [w1, w2, w3] = tw[0];
                 let (xa, xr) = z.split_at(s);
                 let (xb, xr) = xr.split_at(s);
@@ -532,7 +344,7 @@ impl HalfFft {
                     o1 = o1.wrapping_sub(step);
                 }
             }
-            HalfFftStage::Radix2 => {
+            Stage::Radix2 => {
                 let (xa, xb) = z.split_at(s);
                 for (&a, &b) in xa.iter().zip(xb) {
                     let even = a + b;
@@ -635,6 +447,12 @@ mod tests {
         }
     }
 
+    fn test_signal(n: usize) -> Vec<Complex> {
+        (0..n)
+            .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
+            .collect()
+    }
+
     #[test]
     fn impulse_transforms_to_flat_spectrum() {
         let plan = FftPlan::new(8).unwrap();
@@ -648,28 +466,29 @@ mod tests {
 
     #[test]
     fn matches_naive_dft() {
-        for &n in &[1usize, 2, 4, 8, 16, 64] {
+        // Both parities of log₂(n) (radix-4 only, radix-4 + radix-2 tail),
+        // up to the production grid sizes 512 and 1024.
+        for &n in &[1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024] {
             let plan = FftPlan::new(n).unwrap();
-            let input: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
-                .collect();
+            let input = test_signal(n);
             let mut fast = input.clone();
             plan.forward(&mut fast);
-            let slow = reference::naive_dft(&input);
-            assert_close(&fast, &slow, 1e-10);
+            assert_close(&fast, &reference::naive_dft(&input), 1e-10 * n as f64);
         }
     }
 
     #[test]
     fn round_trip_identity() {
-        let plan = FftPlan::new(32).unwrap();
-        let input: Vec<Complex> = (0..32)
-            .map(|i| Complex::new(i as f64, -(i as f64) * 0.5))
-            .collect();
-        let mut data = input.clone();
-        plan.forward(&mut data);
-        plan.inverse(&mut data);
-        assert_close(&data, &input, 1e-10);
+        for &n in &[1usize, 2, 4, 16, 32, 64, 256, 512, 1024] {
+            let plan = FftPlan::new(n).unwrap();
+            let input: Vec<Complex> = (0..n)
+                .map(|i| Complex::new(i as f64, -(i as f64) * 0.5))
+                .collect();
+            let mut data = input.clone();
+            plan.forward(&mut data);
+            plan.inverse(&mut data);
+            assert_close(&data, &input, 1e-10 * n as f64);
+        }
     }
 
     #[test]
@@ -714,47 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn half_fft_matches_naive_dft() {
-        for &n in &[1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
-            let size = Pow2::new(n).unwrap();
-            let half = HalfFft::new(size);
-            assert_eq!(half.len(), n);
-            let input: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
-                .collect();
-            let mut a = input.clone();
-            let mut b = vec![Complex::ZERO; n];
-            let in_b = half.run(&mut a, &mut b, false);
-            let fast = if in_b { &b } else { &a };
-            let slow = reference::naive_dft(&input);
-            assert_close(fast, &slow, 1e-10 * n.max(1) as f64);
-        }
-    }
-
-    #[test]
-    fn half_fft_unscaled_inverse_round_trips() {
-        for &n in &[1usize, 2, 4, 16, 64, 256] {
-            let half = HalfFft::new(Pow2::new(n).unwrap());
-            let input: Vec<Complex> = (0..n)
-                .map(|i| Complex::new(i as f64 * 0.25 - 1.0, (i as f64 * 0.9).sin()))
-                .collect();
-            let mut a = input.clone();
-            let mut b = vec![Complex::ZERO; n];
-            let fwd_in_b = half.run(&mut a, &mut b, false);
-            // Feed the spectrum back through the inverse stages.
-            if fwd_in_b {
-                std::mem::swap(&mut a, &mut b);
-            }
-            let inv_in_b = half.run(&mut a, &mut b, true);
-            let out = if inv_in_b { &b } else { &a };
-            let scale = 1.0 / n as f64;
-            for (y, x) in out.iter().zip(&input) {
-                assert!((y.scale(scale) - *x).norm() < 1e-10, "n {n}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "differs from plan size")]
     fn wrong_buffer_length_panics() {
         let plan = FftPlan::new(8).unwrap();
@@ -772,125 +550,5 @@ mod tests {
         assert_eq!(data[0], Complex::new(3.0, 4.0));
         assert_eq!(plan.len(), 1);
         assert!(!plan.is_empty());
-    }
-
-    #[test]
-    fn inverse_twiddles_are_exact_conjugates() {
-        let plan = FftPlan::new(64).unwrap();
-        for (w, iw) in plan.twiddles.iter().zip(&plan.inv_twiddles) {
-            assert_eq!(w.re.to_bits(), iw.re.to_bits());
-            assert_eq!((-w.im).to_bits(), iw.im.to_bits());
-        }
-    }
-
-    /// The all-generic stage loop the specialized first stages replaced;
-    /// kept as the oracle for bit-equality of the fast path.
-    fn butterflies_generic(plan: &FftPlan, data: &mut [Complex], invert: bool) {
-        let n = plan.size;
-        let tw: &[Complex] = if invert {
-            &plan.inv_twiddles
-        } else {
-            &plan.twiddles
-        };
-        let mut half = 1;
-        while half < n {
-            let stride = n / (2 * half);
-            for block in data.chunks_exact_mut(2 * half) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((a, b), w) in lo
-                    .iter_mut()
-                    .zip(hi.iter_mut())
-                    .zip(tw.iter().step_by(stride))
-                {
-                    let t = *b * *w;
-                    let x = *a;
-                    *a = x + t;
-                    *b = x - t;
-                }
-            }
-            half *= 2;
-        }
-    }
-
-    #[test]
-    fn specialized_first_stages_are_bitwise_generic() {
-        for &n in &[1usize, 2, 4, 8, 32, 256] {
-            let plan = FftPlan::new(n).unwrap();
-            // Include signed zeros and denormal-ish magnitudes: the exact
-            // cases where skipping a (1, −0) twiddle multiply would differ.
-            let input: Vec<Complex> = (0..n)
-                .map(|i| match i % 5 {
-                    0 => Complex::new(0.0, -0.0),
-                    1 => Complex::new(-0.0, 0.0),
-                    _ => Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos() * 1e-300),
-                })
-                .collect();
-            for invert in [false, true] {
-                let mut fast = input.clone();
-                plan.butterflies(&mut fast, invert);
-                let mut slow = input.clone();
-                butterflies_generic(&plan, &mut slow, invert);
-                for (a, b) in fast.iter().zip(&slow) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "n {n} invert {invert}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "n {n} invert {invert}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forward_real_is_bitwise_forward_of_widened_input() {
-        for &n in &[1usize, 2, 8, 32, 128] {
-            let plan = FftPlan::new(n).unwrap();
-            let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() - 0.3).collect();
-            let mut widened: Vec<Complex> = input.iter().map(|&v| Complex::from(v)).collect();
-            plan.forward(&mut widened);
-            let mut real = vec![Complex::ZERO; n];
-            plan.forward_real(&input, &mut real);
-            for (a, b) in widened.iter().zip(&real) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "n {n}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "n {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_hermitian_is_bitwise_real_part_of_inverse() {
-        for &n in &[1usize, 2, 8, 32, 128] {
-            let plan = FftPlan::new(n).unwrap();
-            // Hermitian spectrum of a real signal, via forward_real.
-            let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 1.1).cos() + 0.5).collect();
-            let mut spectrum = vec![Complex::ZERO; n];
-            plan.forward_real(&signal, &mut spectrum);
-            let mut full = spectrum.clone();
-            plan.inverse(&mut full);
-            let mut real_out = vec![0.0; n];
-            plan.inverse_hermitian(&mut spectrum, &mut real_out);
-            for (a, b) in full.iter().zip(&real_out) {
-                assert_eq!(a.re.to_bits(), b.to_bits(), "n {n}");
-            }
-            // And it actually round-trips to the signal.
-            for (a, b) in real_out.iter().zip(&signal) {
-                assert!((a - b).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_unscaled_is_inverse_without_normalization() {
-        let n = 32;
-        let plan = FftPlan::new(n).unwrap();
-        let input: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
-            .collect();
-        let mut scaled = input.clone();
-        plan.inverse(&mut scaled);
-        let mut unscaled = input.clone();
-        plan.inverse_unscaled(&mut unscaled);
-        let inv_n = 1.0 / n as f64;
-        for (a, b) in scaled.iter().zip(&unscaled) {
-            assert_eq!(a.re.to_bits(), (b.re * inv_n).to_bits());
-            assert_eq!(a.im.to_bits(), (b.im * inv_n).to_bits());
-        }
     }
 }

@@ -9,30 +9,17 @@
 //! Everything here is written from scratch — no external FFT crate:
 //!
 //! * [`Complex`] — minimal complex arithmetic.
-//! * [`FftPlan`] — iterative radix-2 complex FFT with precomputed twiddles.
-//! * [`DctPlan`] — DCT-II / DCT-III / DST-III via Makhoul's N-point-FFT
-//!   repacking, plus exact inverses.
+//! * [`FftPlan`] — self-sorting mixed-radix (radix-4 plus one radix-2)
+//!   Stockham complex FFT with precomputed twiddles.
+//! * [`DctPlan`] — DCT-II / DCT-III / DST-III, plus the exact inverse of the
+//!   DCT-II, each folding its length-`N` real line into one `N/2`-point
+//!   complex FFT (Makhoul's even/odd repacking).
 //! * [`SpectralPlan`] — process-wide per-size cache of shared [`DctPlan`]s,
 //!   so twiddle/cosine tables are computed once per grid size; each cached
 //!   entry also carries precomputed parallel chunk schedules.
 //! * [`Transform2d`] — separable two-dimensional transforms in the exact
 //!   basis mix the Poisson solver needs (cos·cos, sin·cos, cos·sin).
 //! * [`mod@reference`] — naive `O(N²)` reference transforms used by the tests.
-//!
-//! # Engines
-//!
-//! Two transform engines coexist, selected by [`SpectralEngine`]:
-//!
-//! * [`SpectralEngine::V1`] (default) — the historical radix-2 path whose
-//!   output is pinned bit for bit by the golden trace and the `to_bits`
-//!   oracles. Every prior release's results are reproduced exactly.
-//! * [`SpectralEngine::V2`] — folds each length-`N` real transform into a
-//!   length-`N/2` complex FFT (half the butterfly work) and runs that FFT
-//!   with mixed-radix (radix-4 plus one radix-2) self-sorting Stockham
-//!   stages. Deterministic and bitwise thread-count invariant like V1, and
-//!   validated against the same `O(N²)` oracles, but its rounding differs
-//!   from V1 at the last ulps — restructured arithmetic cannot reproduce the
-//!   historical bits, which is exactly why V1 remains the default.
 //!
 //! # Conventions
 //!
@@ -76,21 +63,6 @@ pub use plan::SpectralPlan;
 pub use transform2d::Transform2d;
 
 use eplace_errors::EplaceError;
-
-/// Which transform engine a [`Transform2d`] (or a direct [`DctPlan`] caller)
-/// runs — see the crate docs for the trade-off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralEngine {
-    /// Historical radix-2 path; bit-identical to every prior release and
-    /// pinned by the golden trace. The default.
-    #[default]
-    V1,
-    /// Folded-real half-size FFT with mixed-radix (radix-4 + radix-2)
-    /// Stockham stages: ~half the butterfly work per transform.
-    /// Deterministic and thread-count invariant, but rounds differently from
-    /// V1 at the last ulps.
-    V2,
-}
 
 /// A transform size proven to be a power of two at construction.
 ///

@@ -1,6 +1,6 @@
 //! Property-based tests of the transform algebra.
 
-use crate::{reference, Complex, DctPlan, DctScratch, FftPlan, SpectralEngine, Transform2d};
+use crate::{reference, Complex, DctPlan, DctScratch, FftPlan, Transform2d};
 use eplace_testkit::{check, Gen};
 
 const CASES: u64 = 256;
@@ -103,18 +103,18 @@ fn arb_pow2(g: &mut Gen, min_exp: usize, max_exp: usize) -> usize {
 #[test]
 fn dct2_idct2_roundtrip_under_scratch_reuse() {
     check("dct2_idct2_roundtrip_under_scratch_reuse", CASES, |g| {
-        // One DctScratch serves many transforms; reused scratch must be
-        // bitwise identical to the allocating `_into` entry points.
+        // One DctScratch serves many strided transforms; reused scratch must
+        // be bitwise identical to the allocating entry points' fresh one.
         let n = arb_pow2(g, 1, 7);
         let plan = DctPlan::new(n).unwrap();
         let mut scratch = DctScratch::new(n);
-        let mut coeffs = vec![0.0; n];
-        let mut back = vec![0.0; n];
         for _ in 0..3 {
             let values = arb_vec(g, n, -1e3, 1e3);
-            plan.dct2_scratch(&values, &mut coeffs, &mut scratch);
+            let mut coeffs = values.clone();
+            plan.dct2_strided(&mut coeffs, 0, 1, &mut scratch);
             assert_eq!(coeffs, plan.dct2(&values), "n {n}");
-            plan.idct2_scratch(&coeffs, &mut back, &mut scratch);
+            let mut back = coeffs.clone();
+            plan.idct2_strided(&mut back, 0, 1, &mut scratch);
             assert_eq!(back, plan.idct2(&coeffs), "n {n}");
             for (a, b) in back.iter().zip(&values) {
                 assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()), "n {n}");
@@ -126,18 +126,21 @@ fn dct2_idct2_roundtrip_under_scratch_reuse() {
 #[test]
 fn dst3_scratch_reuse_matches_reference() {
     check("dst3_scratch_reuse_matches_reference", CASES, |g| {
-        // The DST path reverses coefficients inside the scratch; stale
-        // contents from earlier calls must not leak into later ones.
+        // The DST path reads coefficients mirrored into the reused scratch;
+        // stale contents from earlier calls (on other lines of a strided
+        // buffer) must not leak into later ones.
         let n = arb_pow2(g, 1, 6);
+        let stride = g.usize_range(1, 4);
         let plan = DctPlan::new(n).unwrap();
         let mut scratch = DctScratch::new(n);
-        let mut out = vec![0.0; n];
-        for _ in 0..3 {
-            let coeffs = arb_vec(g, n, -20.0, 20.0);
-            plan.dst3_scratch(&coeffs, &mut out, &mut scratch);
+        let mut buf = arb_vec(g, n * stride, -20.0, 20.0);
+        for offset in 0..stride {
+            let coeffs: Vec<f64> = (0..n).map(|i| buf[offset + i * stride]).collect();
+            plan.dst3_strided(&mut buf, offset, stride, 1.0, &mut scratch);
             let slow = reference::naive_dst3(&coeffs);
-            for (a, b) in out.iter().zip(&slow) {
-                assert!((a - b).abs() < 1e-8, "n {n}");
+            for (i, b) in slow.iter().enumerate() {
+                let a = buf[offset + i * stride];
+                assert!((a - b).abs() < 1e-8, "n {n} stride {stride}");
             }
         }
     });
@@ -198,9 +201,9 @@ fn transform2d_dst_syntheses_with_reuse_match_naive() {
 }
 
 #[test]
-fn v2_kernels_match_oracle_on_arbitrary_inputs() {
-    check("v2_kernels_match_oracle_on_arbitrary_inputs", CASES, |g| {
-        // Every v2 kernel (folded-real forward, half-size mixed-radix
+fn kernels_match_oracle_on_arbitrary_inputs() {
+    check("kernels_match_oracle_on_arbitrary_inputs", CASES, |g| {
+        // Every kernel (folded-real forward, half-size mixed-radix
         // synthesis) against the O(n²) oracle over generated sizes/inputs.
         let n = arb_pow2(g, 0, 8);
         let plan = DctPlan::new(n).unwrap();
@@ -209,22 +212,22 @@ fn v2_kernels_match_oracle_on_arbitrary_inputs() {
         let tol = 1e-8 * n.max(1) as f64;
 
         let mut fwd = x.clone();
-        plan.dct2_v2(&mut fwd, 0, 1, &mut scratch);
+        plan.dct2_strided(&mut fwd, 0, 1, &mut scratch);
         for (a, b) in fwd.iter().zip(&reference::naive_dct2(&x)) {
             assert!((a - b).abs() < tol, "dct2 n {n}: {a} vs {b}");
         }
         let mut back = fwd.clone();
-        plan.idct2_v2(&mut back, 0, 1, &mut scratch);
+        plan.idct2_strided(&mut back, 0, 1, &mut scratch);
         for (a, b) in back.iter().zip(&x) {
             assert!((a - b).abs() < tol, "idct2 n {n}");
         }
         let mut dct3 = x.clone();
-        plan.dct3_v2(&mut dct3, 0, 1, 1.0, &mut scratch);
+        plan.dct3_strided(&mut dct3, 0, 1, 1.0, &mut scratch);
         for (a, b) in dct3.iter().zip(&reference::naive_dct3(&x)) {
             assert!((a - b).abs() < tol, "dct3 n {n}: {a} vs {b}");
         }
         let mut dst3 = x.clone();
-        plan.dst3_v2(&mut dst3, 0, 1, 1.0, &mut scratch);
+        plan.dst3_strided(&mut dst3, 0, 1, 1.0, &mut scratch);
         for (a, b) in dst3.iter().zip(&reference::naive_dst3(&x)) {
             assert!((a - b).abs() < tol, "dst3 n {n}: {a} vs {b}");
         }
@@ -232,54 +235,49 @@ fn v2_kernels_match_oracle_on_arbitrary_inputs() {
 }
 
 #[test]
-fn v2_transform2d_thread_sweep_is_bitwise_invariant() {
-    check(
-        "v2_transform2d_thread_sweep_is_bitwise_invariant",
-        32,
-        |g| {
-            // threads ∈ {1, 2, 3, 8} over generated grids and ops, v2 engine.
-            let nx = arb_pow2(g, 1, 5);
-            let ny = arb_pow2(g, 1, 5);
-            let data = arb_vec(g, nx * ny, -50.0, 50.0);
-            let op = g.usize_range(0, 3);
-            let run = |threads: usize| {
-                let mut t = Transform2d::new(nx, ny)
-                    .unwrap()
-                    .with_engine(SpectralEngine::V2)
-                    .with_exec(eplace_exec::ExecConfig::with_threads(threads));
-                let mut w = data.clone();
-                match op {
-                    0 => t.dct2(&mut w),
-                    1 => t.dct3_scaled(&mut w, 0.31),
-                    2 => t.dst3_x(&mut w),
-                    _ => t.dst3_y(&mut w),
-                }
-                w
-            };
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let serial = run(1);
-            for threads in [2usize, 3, 8] {
-                assert_eq!(
-                    bits(&serial),
-                    bits(&run(threads)),
-                    "{nx}x{ny} op {op} t {threads}"
-                );
+fn transform2d_thread_sweep_is_bitwise_invariant() {
+    check("transform2d_thread_sweep_is_bitwise_invariant", 32, |g| {
+        // threads ∈ {1, 2, 3, 8} over generated grids and ops.
+        let nx = arb_pow2(g, 1, 5);
+        let ny = arb_pow2(g, 1, 5);
+        let data = arb_vec(g, nx * ny, -50.0, 50.0);
+        let op = g.usize_range(0, 3);
+        let run = |threads: usize| {
+            let mut t = Transform2d::new(nx, ny)
+                .unwrap()
+                .with_exec(eplace_exec::ExecConfig::with_threads(threads));
+            let mut w = data.clone();
+            match op {
+                0 => t.dct2(&mut w),
+                1 => t.dct3_scaled(&mut w, 0.31),
+                2 => t.dst3_x(&mut w),
+                _ => t.dst3_y(&mut w),
             }
-        },
-    );
+            w
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let serial = run(1);
+        for threads in [2usize, 3, 8] {
+            assert_eq!(
+                bits(&serial),
+                bits(&run(threads)),
+                "{nx}x{ny} op {op} t {threads}"
+            );
+        }
+    });
 }
 
 #[test]
-fn v2_roundtrip_arbitrary() {
-    check("v2_roundtrip_arbitrary", CASES, |g| {
-        // dct3_v2(dct2_v2(x)) == (N/2)·x on arbitrary inputs.
+fn dct3_dct2_roundtrip_arbitrary() {
+    check("dct3_dct2_roundtrip_arbitrary", CASES, |g| {
+        // dct3(dct2(x)) == (N/2)·x on arbitrary inputs.
         let n = arb_pow2(g, 1, 7);
         let plan = DctPlan::new(n).unwrap();
         let mut scratch = DctScratch::new(n);
         let x = arb_vec(g, n, -1e3, 1e3);
         let mut w = x.clone();
-        plan.dct2_v2(&mut w, 0, 1, &mut scratch);
-        plan.dct3_v2(&mut w, 0, 1, 1.0, &mut scratch);
+        plan.dct2_strided(&mut w, 0, 1, &mut scratch);
+        plan.dct3_strided(&mut w, 0, 1, 1.0, &mut scratch);
         let scale = n as f64 / 2.0;
         for (a, b) in w.iter().zip(&x) {
             assert!((a - scale * b).abs() < 1e-7 * (1.0 + b.abs()), "n {n}");

@@ -1,5 +1,5 @@
 use crate::dct::DctScratch;
-use crate::{DctPlan, Pow2, SpectralEngine, SpectralPlan};
+use crate::{DctPlan, Pow2, SpectralPlan};
 use eplace_errors::EplaceError;
 use eplace_exec::{for_each_unit_scheduled, ExecConfig, UnitSchedule};
 use eplace_obs::Obs;
@@ -30,10 +30,10 @@ enum Kernel {
 /// matters because the placer transforms the grid four times per optimizer
 /// iteration.
 ///
-/// Rows transform in place; columns transform directly through the strided
-/// kernel entry points ([`DctPlan::dct2_strided`] and friends) — the same
-/// float sequence the historical gather → transform → scatter produced,
-/// without the bounce buffer or its two extra passes per column.
+/// Rows and columns both transform in place through the strided kernels
+/// ([`DctPlan::dct2_strided`] and friends): a row is the line with stride 1,
+/// a column the line with stride `nx`, so no column is staged through a
+/// bounce buffer.
 ///
 /// The synthesis transforms also come in `*_scaled` variants that fuse the
 /// caller's elementwise post-scale (the Poisson solver's normalization)
@@ -47,12 +47,6 @@ enum Kernel {
 /// worker split itself is not recomputed per call: each cached plan carries
 /// its [`UnitSchedule`] per thread count, fetched once in
 /// [`Transform2d::set_exec`] and replayed by every pass.
-///
-/// [`Transform2d::set_engine`] selects the transform engine: the default
-/// [`SpectralEngine::V1`] reproduces historical bits exactly, while
-/// [`SpectralEngine::V2`] runs the folded-real half-size mixed-radix kernels
-/// (see the crate docs). Both are deterministic and bitwise thread-count
-/// invariant.
 ///
 /// # Examples
 ///
@@ -90,7 +84,6 @@ pub struct Transform2d {
     /// transpose-in and the column transform), shared via `plan_x`'s entry.
     sched_cols: Arc<UnitSchedule>,
     exec: ExecConfig,
-    engine: SpectralEngine,
     obs: Obs,
 }
 
@@ -128,7 +121,6 @@ impl Transform2d {
             sched_rows,
             sched_cols,
             exec,
-            engine: SpectralEngine::default(),
             obs: Obs::disabled(),
         }
     }
@@ -146,24 +138,6 @@ impl Transform2d {
     pub fn with_exec(mut self, exec: ExecConfig) -> Self {
         self.set_exec(exec);
         self
-    }
-
-    /// Selects the transform engine for subsequent calls (default
-    /// [`SpectralEngine::V1`]).
-    pub fn set_engine(&mut self, engine: SpectralEngine) {
-        self.engine = engine;
-    }
-
-    /// Builder form of [`Transform2d::set_engine`].
-    pub fn with_engine(mut self, engine: SpectralEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine subsequent transforms will run.
-    #[inline]
-    pub fn engine(&self) -> SpectralEngine {
-        self.engine
     }
 
     /// Sets the observability recorder: each transform call records one
@@ -281,44 +255,24 @@ impl Transform2d {
         }
     }
 
-    /// The single-threaded path, using the object-owned scratch. Rows
-    /// transform in place; each column transforms through the strided
-    /// kernels, with the caller's `scale` fused into the final store.
+    /// The single-threaded path, using the object-owned scratch. Rows and
+    /// columns transform in place as strided lines, with the caller's
+    /// `scale` fused into the column pass's final store.
     fn apply_serial(&mut self, data: &mut [f64], kernel_x: Kernel, kernel_y: Kernel, scale: f64) {
         let nx = self.nx;
-        let engine = self.engine;
         for row in data.chunks_exact_mut(nx) {
-            Self::run_kernel(&self.plan_x, engine, kernel_x, row, &mut self.scratch_x);
+            Self::run_kernel(&self.plan_x, kernel_x, row, 0, 1, 1.0, &mut self.scratch_x);
         }
-        debug_assert!(
-            kernel_y != Kernel::Dct2 || scale == 1.0,
-            "forward pass never scales"
-        );
         for ix in 0..nx {
-            match (engine, kernel_y) {
-                (SpectralEngine::V1, Kernel::Dct2) => {
-                    self.plan_y.dct2_strided(data, ix, nx, &mut self.scratch_y)
-                }
-                (SpectralEngine::V1, Kernel::Dct3) => {
-                    self.plan_y
-                        .dct3_strided(data, ix, nx, scale, &mut self.scratch_y)
-                }
-                (SpectralEngine::V1, Kernel::Dst3) => {
-                    self.plan_y
-                        .dst3_strided(data, ix, nx, scale, &mut self.scratch_y)
-                }
-                (SpectralEngine::V2, Kernel::Dct2) => {
-                    self.plan_y.dct2_v2(data, ix, nx, &mut self.scratch_y)
-                }
-                (SpectralEngine::V2, Kernel::Dct3) => {
-                    self.plan_y
-                        .dct3_v2(data, ix, nx, scale, &mut self.scratch_y)
-                }
-                (SpectralEngine::V2, Kernel::Dst3) => {
-                    self.plan_y
-                        .dst3_v2(data, ix, nx, scale, &mut self.scratch_y)
-                }
-            }
+            Self::run_kernel(
+                &self.plan_y,
+                kernel_y,
+                data,
+                ix,
+                nx,
+                scale,
+                &mut self.scratch_y,
+            );
         }
     }
 
@@ -329,7 +283,6 @@ impl Transform2d {
     fn apply_parallel(&mut self, data: &mut [f64], kernel_x: Kernel, kernel_y: Kernel, scale: f64) {
         let (nx, ny) = (self.nx, self.ny);
         self.transpose_buf.resize(nx * ny, 0.0);
-        let engine = self.engine;
         // Unit scratch for the transpose passes: a Vec of zero-sized units
         // never touches the heap, so building one per call stays
         // allocation-free.
@@ -341,7 +294,7 @@ impl Transform2d {
             nx,
             &mut self.pool_x,
             || DctScratch::new(nx),
-            |_, row, scratch| Self::run_kernel(plan_x, engine, kernel_x, row, scratch),
+            |_, row, scratch| Self::run_kernel(plan_x, kernel_x, row, 0, 1, 1.0, scratch),
         );
         {
             let src: &[f64] = data;
@@ -365,7 +318,7 @@ impl Transform2d {
             ny,
             &mut self.pool_y,
             || DctScratch::new(ny),
-            |_, col, scratch| Self::run_kernel(plan_y, engine, kernel_y, col, scratch),
+            |_, col, scratch| Self::run_kernel(plan_y, kernel_y, col, 0, 1, 1.0, scratch),
         );
         // Transpose back with the caller's scale fused into the copy:
         // `v·scale` is the identical product the separate post-pass would
@@ -385,20 +338,24 @@ impl Transform2d {
         );
     }
 
+    /// Runs `kernel` over the line `data[offset + i·stride]`. The forward
+    /// DCT-II never scales; the syntheses fuse `scale` into their store.
     fn run_kernel(
         plan: &DctPlan,
-        engine: SpectralEngine,
         kernel: Kernel,
-        line: &mut [f64],
+        data: &mut [f64],
+        offset: usize,
+        stride: usize,
+        scale: f64,
         scratch: &mut DctScratch,
     ) {
-        match (engine, kernel) {
-            (SpectralEngine::V1, Kernel::Dct2) => plan.dct2_inplace(line, scratch),
-            (SpectralEngine::V1, Kernel::Dct3) => plan.dct3_inplace(line, scratch),
-            (SpectralEngine::V1, Kernel::Dst3) => plan.dst3_inplace(line, scratch),
-            (SpectralEngine::V2, Kernel::Dct2) => plan.dct2_v2(line, 0, 1, scratch),
-            (SpectralEngine::V2, Kernel::Dct3) => plan.dct3_v2(line, 0, 1, 1.0, scratch),
-            (SpectralEngine::V2, Kernel::Dst3) => plan.dst3_v2(line, 0, 1, 1.0, scratch),
+        match kernel {
+            Kernel::Dct2 => {
+                debug_assert!(scale == 1.0, "forward pass never scales");
+                plan.dct2_strided(data, offset, stride, scratch)
+            }
+            Kernel::Dct3 => plan.dct3_strided(data, offset, stride, scale, scratch),
+            Kernel::Dst3 => plan.dst3_strided(data, offset, stride, scale, scratch),
         }
     }
 }
@@ -440,38 +397,46 @@ mod tests {
     }
 
     #[test]
-    fn dct2_2d_matches_naive_separable() {
-        let (nx, ny) = (8, 4);
-        let data = grid(nx, ny);
-        let mut fast = data.clone();
-        Transform2d::new(nx, ny).unwrap().dct2(&mut fast);
-        let slow = naive_2d(&data, nx, ny, reference::naive_dct2, reference::naive_dct2);
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn dst3_x_matches_naive_separable() {
-        let (nx, ny) = (8, 8);
-        let data = grid(nx, ny);
-        let mut fast = data.clone();
-        Transform2d::new(nx, ny).unwrap().dst3_x(&mut fast);
-        let slow = naive_2d(&data, nx, ny, reference::naive_dst3, reference::naive_dct3);
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn dst3_y_matches_naive_separable() {
-        let (nx, ny) = (4, 16);
-        let data = grid(nx, ny);
-        let mut fast = data.clone();
-        Transform2d::new(nx, ny).unwrap().dst3_y(&mut fast);
-        let slow = naive_2d(&data, nx, ny, reference::naive_dct3, reference::naive_dst3);
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((a - b).abs() < 1e-9);
+    fn matches_naive_separable() {
+        for &(nx, ny) in &[(2usize, 8usize), (8, 4), (8, 8), (16, 16), (4, 32)] {
+            let data = grid(nx, ny);
+            let mut t = Transform2d::new(nx, ny).unwrap();
+            type Ref = fn(&[f64]) -> Vec<f64>;
+            type Op = fn(&mut Transform2d, &mut [f64]);
+            let cases: [(Op, Ref, Ref, &str); 4] = [
+                (
+                    Transform2d::dct2,
+                    reference::naive_dct2,
+                    reference::naive_dct2,
+                    "dct2",
+                ),
+                (
+                    Transform2d::dct3,
+                    reference::naive_dct3,
+                    reference::naive_dct3,
+                    "dct3",
+                ),
+                (
+                    Transform2d::dst3_x,
+                    reference::naive_dst3,
+                    reference::naive_dct3,
+                    "dst3_x",
+                ),
+                (
+                    Transform2d::dst3_y,
+                    reference::naive_dct3,
+                    reference::naive_dst3,
+                    "dst3_y",
+                ),
+            ];
+            for (op, fx, fy, name) in cases {
+                let mut fast = data.clone();
+                op(&mut t, &mut fast);
+                let slow = naive_2d(&data, nx, ny, fx, fy);
+                for (a, b) in fast.iter().zip(&slow) {
+                    assert!((a - b).abs() < 1e-9, "{name} {nx}x{ny}");
+                }
+            }
         }
     }
 
@@ -544,7 +509,7 @@ mod tests {
         // reproduce the serial bits exactly — including non-square grids.
         for &(nx, ny) in &[(8usize, 8usize), (16, 4), (4, 32)] {
             let data = grid(nx, ny);
-            for op in 0..4 {
+            for op in 0..5 {
                 let run = |threads: usize| {
                     let mut t = Transform2d::new(nx, ny)
                         .unwrap()
@@ -554,7 +519,8 @@ mod tests {
                         0 => t.dct2(&mut w),
                         1 => t.dct3(&mut w),
                         2 => t.dst3_x(&mut w),
-                        _ => t.dst3_y(&mut w),
+                        3 => t.dst3_y(&mut w),
+                        _ => t.dct3_scaled(&mut w, 0.37),
                     }
                     w
                 };
@@ -619,115 +585,6 @@ mod tests {
         assert!(Transform2d::new(12, 8).is_err());
         assert!(Transform2d::new(8, 12).is_err());
         assert!(Transform2d::new(0, 8).is_err());
-    }
-
-    #[test]
-    fn v2_matches_naive_separable() {
-        for &(nx, ny) in &[(2usize, 8usize), (8, 4), (16, 16), (4, 32)] {
-            let data = grid(nx, ny);
-            let mut t = Transform2d::new(nx, ny)
-                .unwrap()
-                .with_engine(SpectralEngine::V2);
-            assert_eq!(t.engine(), SpectralEngine::V2);
-            type Ref = fn(&[f64]) -> Vec<f64>;
-            type Op = fn(&mut Transform2d, &mut [f64]);
-            let cases: [(Op, Ref, Ref); 4] = [
-                (
-                    Transform2d::dct2,
-                    reference::naive_dct2,
-                    reference::naive_dct2,
-                ),
-                (
-                    Transform2d::dct3,
-                    reference::naive_dct3,
-                    reference::naive_dct3,
-                ),
-                (
-                    Transform2d::dst3_x,
-                    reference::naive_dst3,
-                    reference::naive_dct3,
-                ),
-                (
-                    Transform2d::dst3_y,
-                    reference::naive_dct3,
-                    reference::naive_dst3,
-                ),
-            ];
-            for (op, fx, fy) in cases {
-                let mut fast = data.clone();
-                op(&mut t, &mut fast);
-                let slow = naive_2d(&data, nx, ny, fx, fy);
-                for (a, b) in fast.iter().zip(&slow) {
-                    assert!((a - b).abs() < 1e-9, "{nx}x{ny}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn v2_parallel_transforms_are_bitwise_serial() {
-        // The v2 engine must honor the same thread-count invariance contract
-        // as v1: threads ∈ {1, 2, 3, 8} all produce identical bits.
-        for &(nx, ny) in &[(8usize, 8usize), (16, 4), (4, 32)] {
-            let data = grid(nx, ny);
-            for op in 0..5 {
-                let run = |threads: usize| {
-                    let mut t = Transform2d::new(nx, ny)
-                        .unwrap()
-                        .with_engine(SpectralEngine::V2)
-                        .with_exec(eplace_exec::ExecConfig::with_threads(threads));
-                    let mut w = data.clone();
-                    match op {
-                        0 => t.dct2(&mut w),
-                        1 => t.dct3(&mut w),
-                        2 => t.dst3_x(&mut w),
-                        3 => t.dst3_y(&mut w),
-                        _ => t.dct3_scaled(&mut w, 0.37),
-                    }
-                    w
-                };
-                let serial = run(1);
-                for threads in [2, 3, 8] {
-                    let par = run(threads);
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&serial), bits(&par), "{nx}x{ny} op {op} t {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn v2_scaled_syntheses_are_bitwise_transform_then_scale() {
-        let (nx, ny) = (16usize, 8usize);
-        let data = grid(nx, ny);
-        let scale = 0.0625 * 0.73;
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for threads in [1usize, 4] {
-            let exec = eplace_exec::ExecConfig::with_threads(threads);
-            type Pair = (
-                fn(&mut Transform2d, &mut [f64]),
-                fn(&mut Transform2d, &mut [f64], f64),
-            );
-            let cases: [(Pair, &str); 3] = [
-                ((Transform2d::dct3, Transform2d::dct3_scaled), "dct3"),
-                ((Transform2d::dst3_x, Transform2d::dst3_x_scaled), "dst3_x"),
-                ((Transform2d::dst3_y, Transform2d::dst3_y_scaled), "dst3_y"),
-            ];
-            for ((unscaled, scaled), name) in cases {
-                let mut t = Transform2d::new(nx, ny)
-                    .unwrap()
-                    .with_engine(SpectralEngine::V2)
-                    .with_exec(exec);
-                let mut expect = data.clone();
-                unscaled(&mut t, &mut expect);
-                for v in expect.iter_mut() {
-                    *v *= scale;
-                }
-                let mut fused = data.clone();
-                scaled(&mut t, &mut fused, scale);
-                assert_eq!(bits(&expect), bits(&fused), "{name} threads {threads}");
-            }
-        }
     }
 
     #[test]
