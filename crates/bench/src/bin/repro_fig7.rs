@@ -2,13 +2,36 @@
 //! (mIP/mGP/mLG/cGP/cDP shares) and the mGP-internal split (density /
 //! wirelength / other; paper: 57 % / 29 % / 14 %).
 //!
+//! Both rings come from the span tree of one metrics recorder shared by
+//! every run: stage shares from the phase spans below `flow`, the mGP split
+//! from the kernel spans below `flow/mgp`. Exits non-zero when an mGP share
+//! is not finite or the density or wirelength share is not positive, so a
+//! renamed span fails the run instead of reading 0 %.
+//!
 //! Usage: `repro_fig7 [--scale N] [--circuits K]`
 
 use eplace_bench::{design_after_full_flow, parse_args};
 use eplace_benchgen::BenchmarkSuite;
-use eplace_core::{EplaceConfig, Stage};
+use eplace_core::{EplaceConfig, Obs, Stage};
+use eplace_obs::Snapshot;
+use std::process::ExitCode;
 
-fn main() {
+/// Kernel spans booked as density: deposit, Poisson solve, and the field
+/// sampling + preconditioning of each gradient evaluation.
+const DENSITY_SPANS: &[&str] = &["density_deposit", "density_solve", "cost_combine"];
+/// Kernel spans booked as wirelength.
+const WIRELENGTH_SPANS: &[&str] = &["wa_gradient", "wa_eval"];
+
+/// Seconds in the spans below `flow/mgp` whose leaf is one of `leaves`.
+fn mgp_seconds(snap: &Snapshot, leaves: &[&str]) -> f64 {
+    snap.spans
+        .iter()
+        .filter(|s| s.path.starts_with("flow/mgp/") && leaves.contains(&s.name()))
+        .map(|s| s.seconds())
+        .sum()
+}
+
+fn main() -> ExitCode {
     let (scale, _, extra) = parse_args(150);
     let take: usize = extra
         .iter()
@@ -20,60 +43,49 @@ fn main() {
         "Figure 7 reproduction over {} MMS-like circuits",
         suite.len()
     );
-    let cfg = EplaceConfig::fast();
-    let mut stage_totals: Vec<(Stage, f64)> = vec![
-        (Stage::Mip, 0.0),
-        (Stage::Mgp, 0.0),
-        (Stage::Mlg, 0.0),
-        (Stage::FillerOnly, 0.0),
-        (Stage::Cgp, 0.0),
-        (Stage::Cdp, 0.0),
-    ];
-    let mut density = 0.0;
-    let mut wirelength = 0.0;
-    let mut other = 0.0;
-    let mut phases: std::collections::BTreeMap<String, (u64, f64)> = Default::default();
+    let obs = Obs::metrics();
+    let cfg = EplaceConfig {
+        obs: obs.clone(),
+        ..EplaceConfig::fast()
+    };
     for config in &suite {
         eprintln!("  {} ...", config.name);
-        let (_, report) = design_after_full_flow(config, &cfg);
-        for (stage, acc) in stage_totals.iter_mut() {
-            *acc += report.stage_seconds(*stage);
-        }
-        density += report.mgp_profile.density_seconds;
-        wirelength += report.mgp_profile.wirelength_seconds;
-        other += report.mgp_profile.other_seconds;
-        for p in &report.phase_times {
-            let e = phases.entry(p.name.clone()).or_insert((0, 0.0));
-            e.0 += p.calls;
-            e.1 += p.seconds;
-        }
+        design_after_full_flow(config, &cfg);
     }
-    let total: f64 = stage_totals.iter().map(|(_, s)| s).sum();
+    let snap = obs.snapshot();
+    let seconds = |path: &str| snap.span(path).map_or(0.0, |s| s.seconds());
+
+    let total = seconds("flow").max(1e-12);
     println!("stage,seconds,share_pct");
-    for (stage, s) in &stage_totals {
-        println!("{stage},{s:.3},{:.1}", 100.0 * s / total.max(1e-12));
+    for stage in Stage::FLOW {
+        if let Some(span) = snap.span(&format!("flow/{}", stage.phase())) {
+            let s = span.seconds();
+            println!("{stage},{s:.3},{:.1}", 100.0 * s / total);
+        }
     }
-    let mgp_total = (density + wirelength + other).max(1e-12);
-    println!(
-        "mgp_density,{density:.3},{:.1}",
-        100.0 * density / mgp_total
-    );
-    println!(
-        "mgp_wirelength,{wirelength:.3},{:.1}",
-        100.0 * wirelength / mgp_total
-    );
-    println!("mgp_other,{other:.3},{:.1}", 100.0 * other / mgp_total);
-    // The same breakdown as measured by the observability spans — phase
-    // rows here come from the span tree, not the driver's stopwatches, so
-    // they cross-check each other.
-    println!("obs_phase,calls,seconds,share_pct");
-    for (name, (calls, seconds)) in &phases {
-        println!(
-            "{name},{calls},{seconds:.3},{:.1}",
-            100.0 * seconds / total.max(1e-12)
-        );
+
+    let mgp = seconds("flow/mgp");
+    let density = mgp_seconds(&snap, DENSITY_SPANS);
+    let wirelength = mgp_seconds(&snap, WIRELENGTH_SPANS);
+    let split = [
+        ("mgp_density", density),
+        ("mgp_wirelength", wirelength),
+        ("mgp_other", mgp - density - wirelength),
+    ];
+    for (name, s) in split {
+        println!("{name},{s:.3},{:.1}", 100.0 * s / mgp);
     }
     eprintln!(
         "paper shape: mGP dominates the flow; inside mGP density 57% / wirelength 29% / other 14%"
     );
+
+    let shares = split.map(|(_, s)| s / mgp);
+    if shares.iter().any(|s| !s.is_finite()) || shares[0] <= 0.0 || shares[1] <= 0.0 {
+        eprintln!(
+            "error: mGP split {shares:?} is not finite and positive; \
+             are the flow/mgp kernel spans still named {DENSITY_SPANS:?} and {WIRELENGTH_SPANS:?}?"
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -1,7 +1,7 @@
 use crate::SMOOTH_FACTOR;
 use eplace_exec::{deterministic_chunks, for_each_chunk_pooled, ExecConfig};
 use eplace_geometry::{overlap_1d, Point, Rect, Size};
-use eplace_obs::{Obs, DURATION_NS_EDGES};
+use eplace_obs::Obs;
 use eplace_spectral::Transform2d;
 use std::f64::consts::PI;
 
@@ -224,8 +224,7 @@ impl DensityGrid {
     }
 
     /// Sets the observability recorder: deposits record a `density_deposit`
-    /// span, solves a `density_solve` span plus the `spectral_solve_ns`
-    /// histogram and the `density_solves` counter. The recorder never feeds
+    /// span and solves a `density_solve` span. The recorder never feeds
     /// back into the numerics, so results are bit-identical either way.
     /// Does not propagate to the owned [`Transform2d`]s — transform-level
     /// spans would land on solver worker threads as detached roots; the
@@ -471,7 +470,6 @@ impl DensityGrid {
     /// Panics if called before any deposit.
     pub fn solve(&mut self) {
         let _span = self.obs.span("density_solve");
-        let t0 = self.obs.is_enabled().then(std::time::Instant::now);
         let bin_area = self.bin_w * self.bin_h;
         // ρ per bin (dimensionless utilization); analysis transform.
         for (c, rho) in self.charge.iter().zip(self.coeff.iter_mut()) {
@@ -537,14 +535,6 @@ impl DensityGrid {
             self.transform.dst3_y_scaled(&mut self.field_y, scale_y);
         }
         self.solved = true;
-        if let Some(t0) = t0 {
-            self.obs.add("density_solves", 1);
-            self.obs.observe(
-                "spectral_solve_ns",
-                DURATION_NS_EDGES,
-                t0.elapsed().as_nanos() as f64,
-            );
-        }
     }
 
     /// Density gradient `∂N/∂(x_i, y_i) = 2·q_i·(∂ψ/∂x, ∂ψ/∂y)` (paper

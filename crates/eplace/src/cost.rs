@@ -7,15 +7,14 @@ use eplace_geometry::Point;
 use eplace_netlist::Design;
 use eplace_obs::Obs;
 use eplace_wirelength::{GammaSchedule, SmoothWirelength, WaModel};
-use std::time::{Duration, Instant};
 
 /// The ePlace cost `f(v) = W̃(v) + λ·N(v)` (Eq. 4) with the preconditioned
 /// gradient `∇f_pre = (|E_i| + λ·q_i)⁻¹·∇f` (Eq. 11–13).
 ///
 /// Owns the WA wirelength model, the electrostatic grid, the γ schedule and
 /// the penalty factor λ; implements [`Gradient`] so the
-/// [`crate::NesterovOptimizer`] can drive it. Also keeps the per-component
-/// timers behind the paper's Figure 7 runtime breakdown.
+/// [`crate::NesterovOptimizer`] can drive it. Its spans (see
+/// [`EplaceCost::set_obs`]) carry the paper's Figure 7 mGP breakdown.
 pub struct EplaceCost<'a> {
     design: &'a Design,
     problem: &'a PlacementProblem,
@@ -35,10 +34,6 @@ pub struct EplaceCost<'a> {
     precondition: bool,
     full_pos: Vec<Point>,
     full_grad: Vec<Point>,
-    /// Time in density deposit/solve/sample.
-    pub density_time: Duration,
-    /// Time in WA gradients.
-    pub wirelength_time: Duration,
     /// Gradient evaluations performed.
     pub evaluations: usize,
     /// Armed gradient fault (fault-injection harness; `None` in production).
@@ -78,8 +73,6 @@ impl<'a> EplaceCost<'a> {
             precondition,
             full_pos,
             full_grad: vec![Point::ORIGIN; n],
-            density_time: Duration::ZERO,
-            wirelength_time: Duration::ZERO,
             evaluations: 0,
             fault: None,
             grad_nonfinite: false,
@@ -114,9 +107,10 @@ impl<'a> EplaceCost<'a> {
 
     /// Sets the observability recorder for the cost and both kernels: the
     /// WA model gets `wa_gradient`/`wa_eval` spans, the density grid gets
-    /// `density_deposit`/`density_solve` spans plus the
-    /// `spectral_solve_ns` histogram, and each combined gradient evaluation
-    /// bumps `grad_evals_total`.
+    /// `density_deposit`/`density_solve` spans, and each combined gradient
+    /// evaluation bumps `grad_evals_total` and spans its field sampling and
+    /// preconditioning as `cost_combine`. Figure 7's density share is
+    /// `density_deposit` + `density_solve` + `cost_combine`.
     pub fn set_obs(&mut self, obs: Obs) {
         self.wa.set_obs(obs.clone());
         self.grid.set_obs(obs.clone());
@@ -201,16 +195,12 @@ impl<'a> EplaceCost<'a> {
     /// own Nesterov loop never needs objective values, which is exactly the
     /// efficiency argument of §V-A.
     pub fn value(&mut self, pos: &[Point]) -> f64 {
-        let t0 = Instant::now();
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
         self.last_overflow = self.grid.overflow();
         self.last_energy = self.grid.total_energy();
-        self.density_time += t0.elapsed();
-        let t1 = Instant::now();
         self.sync_full(pos);
         self.last_smooth_wl = self.wa.evaluate(self.design, &self.full_pos, self.gamma);
-        self.wirelength_time += t1.elapsed();
         self.last_smooth_wl + self.lambda * self.last_energy
     }
 
@@ -239,23 +229,20 @@ impl Gradient for EplaceCost<'_> {
         self.evaluations += 1;
         self.obs.add("grad_evals_total", 1);
         // Density: deposit + spectral solve (57 % of mGP in the paper).
-        let t0 = Instant::now();
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
         self.last_overflow = self.grid.overflow();
         self.last_energy = self.grid.total_energy();
-        self.density_time += t0.elapsed();
 
         // Wirelength (29 %).
-        let t1 = Instant::now();
         self.sync_full(pos);
         self.last_smooth_wl =
             self.wa
                 .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
-        self.wirelength_time += t1.elapsed();
 
-        // Combine + precondition.
-        let t2 = Instant::now();
+        // Combine + precondition. Field sampling is physically part of the
+        // density component, so Figure 7 books this span there.
+        let _span = self.obs.span("cost_combine");
         for (k, &ci) in self.problem.movable.iter().enumerate() {
             let wl = self.full_grad[ci];
             let dg = self.grid.gradient(&self.problem.objects[k], pos[k]);
@@ -280,8 +267,6 @@ impl Gradient for EplaceCost<'_> {
                 self.grad_nonfinite = true;
             }
         }
-        // Field sampling above is physically part of the density component.
-        self.density_time += t2.elapsed();
     }
 
     fn project(&self, pos: &mut [Point]) {
@@ -412,15 +397,26 @@ mod tests {
     }
 
     #[test]
-    fn timers_accumulate() {
+    fn gradient_spans_each_component() {
         let (d, p) = setup();
-        let mut cost = EplaceCost::new(&d, &p, 32, 32, true);
+        let obs = Obs::metrics();
+        let mut cost = EplaceCost::new(&d, &p, 32, 32, true).with_obs(obs.clone());
         let pos = p.positions(&d);
         let mut g = vec![Point::ORIGIN; p.len()];
         cost.gradient(&pos, &mut g);
-        assert!(cost.density_time > Duration::ZERO);
-        assert!(cost.wirelength_time > Duration::ZERO);
         assert_eq!(cost.evaluations, 1);
+        let snap = obs.snapshot();
+        for span in [
+            "density_deposit",
+            "density_solve",
+            "wa_gradient",
+            "cost_combine",
+        ] {
+            let stat = snap.span(span).unwrap_or_else(|| panic!("no {span} span"));
+            assert_eq!(stat.calls, 1, "{span}");
+            assert!(stat.total_ns > 0, "{span}");
+        }
+        assert_eq!(snap.counter("grad_evals_total"), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::cost::EplaceCost;
 use crate::recover::{sentinel_check, GpCheckpoint};
-use crate::trace::{IterationRecord, RuntimeProfile, Stage};
+use crate::trace::{IterationRecord, Stage};
 use crate::{EplaceConfig, NesterovOptimizer, PlacementProblem};
 use eplace_density::{grid_dimension, CongestionMap};
 use eplace_errors::{DivergenceReport, EplaceError, Severity, ValidationIssue};
@@ -10,6 +10,23 @@ use eplace_obs::{Record, BACKTRACK_EDGES};
 /// Grid dimension of the per-iteration RUDY congestion gauges (observability
 /// only — never fed back into the optimizer).
 const RUDY_GAUGE_DIM: usize = 16;
+
+/// Iterations between rollback checkpoints of the guarded loop (the
+/// pre-loop state is always kept).
+const CHECKPOINT_INTERVAL: usize = 10;
+/// Divergence-sentinel trips tolerated (each one triggering a checkpoint
+/// rollback) before the stage gives up with [`EplaceError::Diverged`].
+const RECOVERY_RETRIES: usize = 3;
+/// Steplength clamp applied on each rollback: the restored optimizer's α
+/// is multiplied by this factor so the replay re-enters the trust region
+/// more conservatively.
+const RECOVERY_ALPHA_SCALE: f64 = 0.1;
+/// HPWL explosion threshold, as a multiple of the stage-initial HPWL
+/// (legitimate spreading stays within ~20×; see the tests below).
+const DIVERGENCE_HPWL_FACTOR: f64 = 1e3;
+/// Steplengths below this trip the sentinel as a collapse (a healthy
+/// backtracked α sits many orders of magnitude above).
+const DIVERGENCE_MIN_ALPHA: f64 = 1e-30;
 
 /// Span / counter names need `&'static str`; formatting per iteration would
 /// allocate in the hot loop.
@@ -39,8 +56,6 @@ pub struct GpOutcome {
     pub total_backtracks: usize,
     /// Average backtracks per iteration.
     pub backtracks_per_iteration: f64,
-    /// Runtime split for Figure 7.
-    pub profile: RuntimeProfile,
     /// `true` when the τ target was reached before the iteration cap.
     pub converged: bool,
     /// Divergence-sentinel trips that were recovered by rollback (0 on a
@@ -61,17 +76,16 @@ pub struct GpOutcome {
 /// The loop is guarded: every iteration a read-only sentinel checks for
 /// non-finite gradients/metrics, steplength collapse, and HPWL explosion
 /// (see [`crate::recover`]). On a trip the loop rewinds to the last
-/// checkpoint, clamps the steplength by
-/// [`EplaceConfig::recovery_alpha_scale`], re-anchors λ/γ, and retries.
+/// checkpoint (taken every 10 iterations), scales the steplength by 0.1,
+/// re-anchors λ/γ, and retries.
 ///
 /// # Errors
 ///
-/// [`EplaceError::Diverged`] when the sentinel trips more than
-/// [`EplaceConfig::recovery_retries`] times; the best placement seen is
-/// committed to `design` before returning and the report carries its
-/// HPWL/overflow. [`EplaceError::Cancelled`] when the config's
-/// [`crate::CancelToken`] fires — also after committing the best placement
-/// seen.
+/// [`EplaceError::Diverged`] when the sentinel trips more than 3 times;
+/// the best placement seen is committed to `design` before returning and
+/// the report carries its HPWL/overflow. [`EplaceError::Cancelled`] when
+/// the config's [`crate::CancelToken`] fires — also after committing the
+/// best placement seen.
 pub fn run_global_placement(
     design: &mut Design,
     problem: &PlacementProblem,
@@ -153,10 +167,8 @@ fn run_guarded(
     resume: Option<&GpCheckpoint>,
     trace: &mut Vec<IterationRecord>,
 ) -> Result<GpOutcome, EplaceError> {
-    let start = std::time::Instant::now();
     let obs = cfg.obs.clone();
     let _stage_span = obs.span(stage.key());
-    let mut profile = RuntimeProfile::default();
     if problem.is_empty() {
         return Ok(GpOutcome {
             iterations: 0,
@@ -165,7 +177,6 @@ fn run_guarded(
             lambda_last: lambda_init.unwrap_or(0.0),
             total_backtracks: 0,
             backtracks_per_iteration: 0.0,
-            profile,
             converged: true,
             recoveries: 0,
             checkpoint: None,
@@ -248,7 +259,7 @@ fn run_guarded(
     );
     let mut ck_trace_len = trace.len();
 
-    let hpwl_limit = cfg.divergence_hpwl_factor * hpwl_init;
+    let hpwl_limit = DIVERGENCE_HPWL_FACTOR * hpwl_init;
     let stall_window = (cfg.min_iterations * 4).max(60);
     let mut iterations = 0;
     let mut converged = false;
@@ -279,7 +290,7 @@ fn run_guarded(
         if let Some(reason) = sentinel_check(
             cost.take_grad_nonfinite(),
             info.alpha,
-            cfg.divergence_min_alpha,
+            DIVERGENCE_MIN_ALPHA,
             hpwl,
             overflow,
             cost.lambda,
@@ -296,7 +307,7 @@ fn run_guarded(
                         .u64_field("trip", recoveries as u64),
                 );
             }
-            if recoveries > cfg.recovery_retries {
+            if recoveries > RECOVERY_RETRIES {
                 // Retry budget exhausted: commit the best placement seen and
                 // surface a structured report instead of poisoned positions.
                 let best_hpwl = cost.hpwl(&best_pos);
@@ -306,7 +317,7 @@ fn run_guarded(
                     stage: stage.to_string(),
                     iteration: iter,
                     trips: recoveries,
-                    retry_budget: cfg.recovery_retries,
+                    retry_budget: RECOVERY_RETRIES,
                     reason,
                     best_hpwl,
                     best_overflow,
@@ -315,7 +326,7 @@ fn run_guarded(
             // Roll back to the last good checkpoint, clamp the steplength,
             // re-anchor λ/γ, and replay.
             optimizer.restore(&ck.optimizer);
-            optimizer.scale_alpha(cfg.recovery_alpha_scale);
+            optimizer.scale_alpha(RECOVERY_ALPHA_SCALE);
             cost.lambda = ck.lambda;
             cost.gamma = ck.gamma;
             prev_hpwl = ck.prev_hpwl;
@@ -407,7 +418,7 @@ fn run_guarded(
             break; // stagnated above the target — keep the best snapshot
         }
         iter += 1;
-        if cfg.checkpoint_interval > 0 && iter % cfg.checkpoint_interval == 0 {
+        if iter % CHECKPOINT_INTERVAL == 0 {
             ck = snapshot(
                 iter,
                 &cost,
@@ -440,11 +451,8 @@ fn run_guarded(
     } else {
         best_overflow.min(cost.last_overflow)
     };
-    let density = cost.density_time;
-    let wirelength = cost.wirelength_time;
     drop(cost);
     problem.apply(design, &best_pos);
-    profile.add(density, wirelength, start.elapsed());
 
     Ok(GpOutcome {
         iterations,
@@ -453,7 +461,6 @@ fn run_guarded(
         lambda_last,
         total_backtracks: optimizer.total_backtracks,
         backtracks_per_iteration: optimizer.backtracks_per_step(),
-        profile,
         converged,
         recoveries,
         checkpoint: Some(final_ck),
@@ -713,15 +720,6 @@ mod tests {
             resume_global_placement(&mut d, &problem, &cfg, Stage::Mgp, &ck, None, &mut trace)
                 .unwrap_err();
         assert!(matches!(err, EplaceError::Validation { .. }));
-    }
-
-    #[test]
-    fn profile_records_runtime_split() {
-        let (_, out, _) = run(200, 66);
-        assert!(out.profile.density_seconds > 0.0);
-        assert!(out.profile.wirelength_seconds > 0.0);
-        let (d_pct, w_pct, o_pct) = out.profile.percentages();
-        assert!((d_pct + w_pct + o_pct - 100.0).abs() < 1e-6);
     }
 
     /// The `threads` knob must never make the placer nondeterministic:

@@ -52,15 +52,15 @@ pub use ckpt::{checkpoint_from_bytes, checkpoint_to_bytes, load_checkpoint, save
 pub use cost::EplaceCost;
 pub use fillers::insert_fillers;
 pub use gp::{resume_global_placement, run_global_placement, GpOutcome};
-pub use mip::{initial_placement, initial_placement_with_obs, quadratic_solve, Anchor, MipReport};
+pub use mip::{initial_placement, quadratic_solve, Anchor, MipReport};
 pub use nesterov::{Gradient, NesterovCheckpoint, NesterovOptimizer, StepInfo};
 pub use placer::{PlacementReport, Placer};
 pub use problem::PlacementProblem;
 pub use recover::{FaultKind, GpCheckpoint, GradientFault};
 pub use routability::{RoutabilityConfig, RoutabilityOutcome};
 pub use trace::{
-    trace_endpoints, trace_to_csv, trace_to_csv_checked, validate_trace, IterationRecord,
-    RuntimeProfile, Stage, StageTiming,
+    trace_endpoints, trace_to_csv, trace_to_csv_checked, validate_trace, IterationRecord, Stage,
+    StageTiming,
 };
 
 pub use eplace_obs::{Obs, PhaseTime};
@@ -124,24 +124,6 @@ pub struct EplaceConfig {
     /// ≥ 2 yields one deterministic result independent of the actual thread
     /// count — see [`eplace_exec`].
     pub threads: usize,
-    /// Iterations between rollback checkpoints of the guarded
-    /// global-placement loop (0 disables periodic snapshots; the pre-loop
-    /// state is always kept).
-    pub checkpoint_interval: usize,
-    /// Divergence-sentinel trips tolerated (each one triggering a
-    /// checkpoint rollback) before the stage gives up with
-    /// [`eplace_errors::EplaceError::Diverged`].
-    pub recovery_retries: usize,
-    /// Steplength clamp applied on each rollback: the restored optimizer's
-    /// α is multiplied by this factor so the replay re-enters the trust
-    /// region more conservatively.
-    pub recovery_alpha_scale: f64,
-    /// HPWL explosion threshold, as a multiple of the stage-initial HPWL
-    /// (legitimate spreading stays within ~20×; see the gp tests).
-    pub divergence_hpwl_factor: f64,
-    /// Steplengths below this trip the sentinel as a collapse (a healthy
-    /// backtracked α sits many orders of magnitude above).
-    pub divergence_min_alpha: f64,
     /// Certified optimal HPWL of the input design, when one is known
     /// (PEKO-style benchmarks, `eplace_benchgen`'s
     /// `BenchmarkConfig::generate_known_optimum`). Purely observational:
@@ -200,11 +182,6 @@ impl Default for EplaceConfig {
             lambda_mu_min: 0.75,
             delta_hpwl_ref_frac: 0.03,
             threads: 1,
-            checkpoint_interval: 10,
-            recovery_retries: 3,
-            recovery_alpha_scale: 0.1,
-            divergence_hpwl_factor: 1e3,
-            divergence_min_alpha: 1e-30,
             known_optimum_hpwl: None,
             fault: None,
             obs: Obs::disabled(),

@@ -1,18 +1,14 @@
 use crate::routability::{run_routability_loop, RoutabilityOutcome};
-use crate::trace::{IterationRecord, RuntimeProfile, Stage, StageTiming};
+use crate::trace::{IterationRecord, Stage, StageTiming};
 use crate::{
-    initial_placement_with_obs, insert_fillers, run_global_placement, EplaceConfig, MipReport, Obs,
+    initial_placement, insert_fillers, run_global_placement, EplaceConfig, MipReport, Obs,
     PlacementProblem,
 };
 use eplace_errors::EplaceError;
-use eplace_legalize::{
-    detail_place_with_obs, global_swap_with_obs, legalize_abacus_with_obs, legalize_with_obs,
-    LegalizeReport,
-};
-use eplace_mlg::{legalize_macros_with_obs, MlgReport};
+use eplace_legalize::{detail_place, global_swap, legalize, legalize_abacus, LegalizeReport};
+use eplace_mlg::{legalize_macros, MlgReport};
 use eplace_netlist::{CellKind, Design};
 use eplace_obs::PhaseTime;
-use std::time::Instant;
 
 /// Everything a run of the flow produced — the raw material for every
 /// table and figure reproduction.
@@ -53,17 +49,20 @@ pub struct PlacementReport {
     pub legalization_error: Option<String>,
     /// HPWL improvement from detail placement.
     pub detail_gain: f64,
-    /// Wall-clock per stage (Figure 7 outer ring).
+    /// [`PlacementReport::phase_times`] of the stages that ran, as
+    /// `(stage, seconds)` pairs in flow order.
     pub stage_timings: Vec<StageTiming>,
-    /// mGP-internal runtime split (Figure 7 inner ring).
-    pub mgp_profile: RuntimeProfile,
     /// Per-iteration records across all stages (Figures 2/3/6).
     pub trace: Vec<IterationRecord>,
     /// Per-phase span times from the observability layer (direct children
-    /// of the `flow` span). Always populated: a disabled
-    /// [`EplaceConfig::obs`] is upgraded to a metrics-only recorder for the
-    /// duration of the run.
+    /// of the `flow` span), in flow order — Figure 7's outer ring. Always
+    /// populated: a disabled [`EplaceConfig::obs`] is upgraded to a
+    /// metrics-only recorder for the duration of the run. A recorder shared
+    /// across runs accumulates, so its phases cover all of them.
     pub phase_times: Vec<PhaseTime>,
+    /// Total of the `flow` span; read through
+    /// [`PlacementReport::total_seconds`].
+    flow_seconds: f64,
     /// Routability-mode outcome: routing scorecards before and after the
     /// congestion-driven inflation loop ([`crate::RoutabilityConfig`]).
     /// `None` when the mode is off (the default).
@@ -78,18 +77,19 @@ pub struct PlacementReport {
 }
 
 impl PlacementReport {
-    /// Seconds spent in `stage` (0 when the stage did not run).
+    /// Seconds in `stage`'s phase span ([`Stage::phase`]; 0 when the stage
+    /// did not run).
     pub fn stage_seconds(&self, stage: Stage) -> f64 {
-        self.stage_timings
+        self.phase_times
             .iter()
-            .filter(|t| t.stage == stage)
-            .map(|t| t.seconds)
-            .sum()
+            .find(|p| p.name == stage.phase())
+            .map_or(0.0, |p| p.seconds)
     }
 
-    /// Total flow wall-clock.
+    /// Total flow wall-clock: the `flow` span (accumulated like
+    /// [`PlacementReport::phase_times`]).
     pub fn total_seconds(&self) -> f64 {
-        self.stage_timings.iter().map(|t| t.seconds).sum()
+        self.flow_seconds
     }
 }
 
@@ -147,29 +147,20 @@ impl Placer {
         let obs = cfg.obs.clone();
         let design = &mut self.design;
         let mut trace = Vec::new();
-        let mut timings = Vec::new();
         let flow_span = obs.span("flow");
 
         // --- mIP -----------------------------------------------------------
-        let t = Instant::now();
-        let mip = initial_placement_with_obs(design, &obs);
-        timings.push(StageTiming {
-            stage: Stage::Mip,
-            seconds: t.elapsed().as_secs_f64(),
-        });
+        let mip = spanned(&obs, "mip", || initial_placement(design));
+        obs.add("mip_cg_iterations", mip.cg_iterations as u64);
+        obs.add("mip_rebuilds", mip.rebuilds as u64);
 
         // --- mGP -----------------------------------------------------------
-        let t = Instant::now();
         design.remove_fillers();
         insert_fillers(design, cfg.seed);
         let problem = PlacementProblem::all_movables(design);
         let mgp = run_global_placement(design, &problem, &cfg, Stage::Mgp, None, None, &mut trace)?;
         let mut recoveries = mgp.recoveries;
         design.remove_fillers();
-        timings.push(StageTiming {
-            stage: Stage::Mgp,
-            seconds: t.elapsed().as_secs_f64(),
-        });
 
         // --- mLG + cGP (mixed-size only, §VII) ------------------------------
         let has_movable_macros = design
@@ -180,7 +171,6 @@ impl Placer {
         let mut cgp_iterations = 0;
         if has_movable_macros {
             // mLG: fix std cells, anneal macros, fix macros.
-            let t = Instant::now();
             let mlg_span = obs.span("mlg");
             let mut unfixed_std: Vec<usize> = Vec::new();
             for (i, c) in design.cells.iter_mut().enumerate() {
@@ -189,18 +179,17 @@ impl Placer {
                     unfixed_std.push(i);
                 }
             }
-            mlg_report = Some(legalize_macros_with_obs(design, &cfg.mlg, &obs));
+            let mlg = spanned(&obs, "mlg_anneal", || legalize_macros(design, &cfg.mlg));
+            obs.add("mlg_outer_iterations", mlg.outer_iterations as u64);
+            obs.add("mlg_moves_attempted", mlg.moves_attempted as u64);
+            obs.add("mlg_moves_accepted", mlg.moves_accepted as u64);
+            mlg_report = Some(mlg);
             for &i in &unfixed_std {
                 design.cells[i].fixed = false;
             }
             drop(mlg_span);
-            timings.push(StageTiming {
-                stage: Stage::Mlg,
-                seconds: t.elapsed().as_secs_f64(),
-            });
 
             // Filler-only relocation (§VI-B), then cGP.
-            let t = Instant::now();
             insert_fillers(design, cfg.seed.wrapping_add(1));
             if cfg.enable_filler_phase {
                 let fillers = PlacementProblem::fillers_only(design);
@@ -215,12 +204,7 @@ impl Placer {
                 )?;
                 recoveries += filler_gp.recoveries;
             }
-            timings.push(StageTiming {
-                stage: Stage::FillerOnly,
-                seconds: t.elapsed().as_secs_f64(),
-            });
 
-            let t = Instant::now();
             let problem = PlacementProblem::all_movables(design);
             // λ rewind: m buffering iterations to recover mGP's
             // aggressiveness (§VI-B), m = mGP iterations / 10.
@@ -238,53 +222,53 @@ impl Placer {
             cgp_iterations = cgp.iterations;
             recoveries += cgp.recoveries;
             design.remove_fillers();
-            timings.push(StageTiming {
-                stage: Stage::Cgp,
-                seconds: t.elapsed().as_secs_f64(),
-            });
         }
 
         // --- Routability (optional, §VIII): route, inflate, refine -----------
         let mut routability = None;
         if let Some(rcfg) = cfg.routability.clone() {
-            let t = Instant::now();
-            routability = Some(run_routability_loop(design, &cfg, &rcfg, &mut trace)?);
-            if let Some(out) = &routability {
-                recoveries += out.recoveries;
-            }
-            timings.push(StageTiming {
-                stage: Stage::RouteRefine,
-                seconds: t.elapsed().as_secs_f64(),
-            });
+            let out = run_routability_loop(design, &cfg, &rcfg, &mut trace)?;
+            recoveries += out.recoveries;
+            routability = Some(out);
         }
 
         // --- cDP -------------------------------------------------------------
-        let t = Instant::now();
         let cdp_span = obs.span("cdp");
         // Abacus is the quality choice; Tetris is the fallback when its
         // greedy segment selection runs out of room.
+        let tetris = |design: &mut Design| spanned(&obs, "legalize_tetris", || legalize(design));
         let attempt = if cfg.use_abacus {
-            legalize_abacus_with_obs(design, &obs).or_else(|_| legalize_with_obs(design, &obs))
+            spanned(&obs, "legalize_abacus", || legalize_abacus(design)).or_else(|_| tetris(design))
         } else {
-            legalize_with_obs(design, &obs)
+            tetris(design)
         };
         let (legal, legal_err) = match attempt {
-            Ok(r) => (Some(r), None),
+            Ok(r) => {
+                obs.add("legalize_runs", 1);
+                obs.add("legalize_cells_placed", r.placed as u64);
+                obs.set_gauge("legalize_total_displacement", r.total_displacement);
+                obs.set_gauge("legalize_max_displacement", r.max_displacement);
+                (Some(r), None)
+            }
             Err(e) => (None, Some(e.to_string())),
         };
         let detail_gain = if legal.is_some() {
+            let detail = |design: &mut Design, passes: usize| {
+                let gain = spanned(&obs, "detail_place", || detail_place(design, passes));
+                obs.set_gauge("detail_place_gain", gain);
+                gain
+            };
             // In-row refinement, then the cross-row global-swap pass.
-            detail_place_with_obs(design, cfg.detail_passes, &obs)
-                + global_swap_with_obs(design, cfg.detail_passes, &obs)
-                + detail_place_with_obs(design, 1, &obs)
+            let refined = detail(design, cfg.detail_passes);
+            let swapped = spanned(&obs, "global_swap", || {
+                global_swap(design, cfg.detail_passes)
+            });
+            obs.set_gauge("global_swap_gain", swapped);
+            refined + swapped + detail(design, 1)
         } else {
             0.0
         };
         drop(cdp_span);
-        timings.push(StageTiming {
-            stage: Stage::Cdp,
-            seconds: t.elapsed().as_secs_f64(),
-        });
 
         // --- Final scoring ----------------------------------------------------
         let final_hpwl = design.hpwl();
@@ -296,7 +280,18 @@ impl Placer {
         // the per-phase breakdown and emit the end-of-run summary record.
         drop(flow_span);
         let summary = obs.summary();
-        let phase_times = summary.phases.clone();
+        let mut phase_times = summary.phases.clone();
+        phase_times.sort_by_key(|p| Stage::FLOW.iter().position(|s| s.phase() == p.name));
+        let stage_timings = Stage::FLOW
+            .into_iter()
+            .filter_map(|stage| {
+                let phase = phase_times.iter().find(|p| p.name == stage.phase())?;
+                Some(StageTiming {
+                    stage,
+                    seconds: phase.seconds,
+                })
+            })
+            .collect();
         if obs.journal_active() {
             obs.journal(summary.to_record());
         }
@@ -319,14 +314,20 @@ impl Placer {
             legalization_error: legal_err,
             detail_gain,
             routability,
-            stage_timings: timings,
-            mgp_profile: mgp.profile,
+            stage_timings,
             iterations_per_stage: iterations_per_stage(&trace),
             trace,
             phase_times,
+            flow_seconds: summary.total_seconds,
             journal_io_errors,
         })
     }
+}
+
+/// Runs `f` inside the span `name`.
+fn spanned<T>(obs: &Obs, name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = obs.span(name);
+    f()
 }
 
 /// Iteration counts per stage, in the order the stages first appear in the
@@ -419,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_timings_cover_flow() {
+    fn stage_seconds_cover_flow() {
         let design = BenchmarkConfig::ispd05_like("flow", 73)
             .scale(200)
             .generate();

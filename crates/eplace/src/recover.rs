@@ -5,12 +5,12 @@
 //! Eq. (10) can overshoot, λ can ratchet a trajectory into a region where
 //! the WA exponentials overflow, and a single non-finite gradient component
 //! poisons every later iterate. The guarded loop in [`crate::gp`] snapshots
-//! its state every [`crate::EplaceConfig::checkpoint_interval`] iterations
-//! as a [`GpCheckpoint`]; a read-only sentinel inspects each iteration and,
-//! on a trip, the loop rewinds to the last checkpoint, clamps the
-//! steplength, re-anchors λ/γ, and resumes — up to
-//! [`crate::EplaceConfig::recovery_retries`] times before giving up with a
-//! structured [`eplace_errors::EplaceError::Diverged`].
+//! its state every `CHECKPOINT_INTERVAL` (10) iterations as a
+//! [`GpCheckpoint`]; a read-only sentinel inspects each iteration and, on a
+//! trip, the loop rewinds to the last checkpoint, clamps the steplength,
+//! re-anchors λ/γ, and resumes — up to `RECOVERY_RETRIES` (3) times before
+//! giving up with a structured [`eplace_errors::EplaceError::Diverged`].
+//! Both constants live in `gp.rs`.
 //!
 //! [`GradientFault`] is the deterministic fault-injection hook the tests use
 //! to exercise this machinery; in production it is always `None` and the
@@ -89,7 +89,7 @@ impl GradientFault {
 /// iteration: the optimizer trajectory plus the scheduler state (λ, γ, the
 /// μ-rule's previous HPWL) and the best-solution tracker.
 ///
-/// Produced every `checkpoint_interval` iterations by
+/// Produced every 10 iterations by
 /// [`crate::run_global_placement`] (the final one is returned in
 /// [`crate::GpOutcome::checkpoint`]) and consumed either internally on
 /// rollback or externally by [`crate::resume_global_placement`], which

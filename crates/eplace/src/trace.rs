@@ -1,5 +1,4 @@
 use std::fmt;
-use std::time::Duration;
 
 /// Flow stage names (paper Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,6 +21,17 @@ pub enum Stage {
 }
 
 impl Stage {
+    /// Every stage, in flow order.
+    pub const FLOW: [Stage; 7] = [
+        Stage::Mip,
+        Stage::Mgp,
+        Stage::Mlg,
+        Stage::FillerOnly,
+        Stage::Cgp,
+        Stage::RouteRefine,
+        Stage::Cdp,
+    ];
+
     /// Lowercase identifier used for span paths, journal records, and
     /// per-stage counter names (`iters_mgp`, …).
     pub fn key(self) -> &'static str {
@@ -33,6 +43,16 @@ impl Stage {
             Stage::Cgp => "cgp",
             Stage::RouteRefine => "routegp",
             Stage::Cdp => "cdp",
+        }
+    }
+
+    /// Name of the span directly below `flow` that books this stage's time:
+    /// [`Stage::key`], except that refinement rounds run inside the
+    /// `routability` phase.
+    pub fn phase(self) -> &'static str {
+        match self {
+            Stage::RouteRefine => "routability",
+            stage => stage.key(),
         }
     }
 }
@@ -77,53 +97,16 @@ pub struct IterationRecord {
     pub backtracks: usize,
 }
 
-/// Wall-clock of one stage — the data behind Figure 7's outer pie.
+/// One stage's time as the span tree booked it: the stage's phase span
+/// below `flow` ([`Stage::phase`]). `PlacementReport::stage_timings` lists
+/// these for `flowbench`, which reads that field; everything else reads
+/// `PlacementReport::phase_times`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
     /// Stage.
     pub stage: Stage,
     /// Seconds spent.
     pub seconds: f64,
-}
-
-/// The mGP-internal runtime split — Figure 7's inner breakdown (paper:
-/// density 57 %, wirelength 29 %, other 14 %).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RuntimeProfile {
-    /// Seconds in density deposit + Poisson solve + field sampling.
-    pub density_seconds: f64,
-    /// Seconds in WA wirelength gradients.
-    pub wirelength_seconds: f64,
-    /// Everything else (Lipschitz prediction, parameter update, …).
-    pub other_seconds: f64,
-}
-
-impl RuntimeProfile {
-    /// Total seconds.
-    pub fn total(&self) -> f64 {
-        self.density_seconds + self.wirelength_seconds + self.other_seconds
-    }
-
-    /// `(density %, wirelength %, other %)` of the stage runtime.
-    pub fn percentages(&self) -> (f64, f64, f64) {
-        let t = self.total();
-        if t <= 0.0 {
-            return (0.0, 0.0, 0.0);
-        }
-        (
-            100.0 * self.density_seconds / t,
-            100.0 * self.wirelength_seconds / t,
-            100.0 * self.other_seconds / t,
-        )
-    }
-
-    pub(crate) fn add(&mut self, density: Duration, wirelength: Duration, total: Duration) {
-        let d = density.as_secs_f64();
-        let w = wirelength.as_secs_f64();
-        self.density_seconds += d;
-        self.wirelength_seconds += w;
-        self.other_seconds += (total.as_secs_f64() - d - w).max(0.0);
-    }
 }
 
 /// First and last record of a trace.
@@ -224,27 +207,8 @@ mod tests {
         assert_eq!(Stage::FillerOnly.to_string(), "fillerGP");
         assert_eq!(Stage::RouteRefine.to_string(), "routeGP");
         assert_eq!(Stage::RouteRefine.key(), "routegp");
-    }
-
-    #[test]
-    fn profile_percentages_sum_to_100() {
-        let mut p = RuntimeProfile::default();
-        p.add(
-            Duration::from_millis(570),
-            Duration::from_millis(290),
-            Duration::from_millis(1000),
-        );
-        let (d, w, o) = p.percentages();
-        assert!((d + w + o - 100.0).abs() < 1e-9);
-        assert!((d - 57.0).abs() < 1e-9);
-        assert!((o - 14.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_profile_is_zero() {
-        let p = RuntimeProfile::default();
-        assert_eq!(p.percentages(), (0.0, 0.0, 0.0));
-        assert_eq!(p.total(), 0.0);
+        assert_eq!(Stage::RouteRefine.phase(), "routability");
+        assert_eq!(Stage::Cgp.phase(), "cgp");
     }
 
     #[test]

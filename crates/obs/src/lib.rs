@@ -77,10 +77,6 @@ use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Fixed bucket edges (nanoseconds) for kernel-duration histograms such as
-/// `spectral_solve_ns`: 1 µs … 10 s in decades.
-pub const DURATION_NS_EDGES: &[f64] = &[1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
-
 /// Fixed bucket edges for the `backtracks_per_iter` histogram (the paper
 /// reports 1.037 average; anything past 10 is the config cap).
 pub const BACKTRACK_EDGES: &[f64] = &[0.0, 1.0, 2.0, 3.0, 5.0, 10.0];

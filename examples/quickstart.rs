@@ -33,8 +33,8 @@ fn main() {
         report.mgp_iterations, report.mgp_backtracks_per_iteration
     );
     println!("detail-place gain     : {:.4e}", report.detail_gain);
-    for t in &report.stage_timings {
-        println!("stage {:>9}: {:.3}s", t.stage.to_string(), t.seconds);
+    for phase in &report.phase_times {
+        println!("stage {:>11}: {:.3}s", phase.name, phase.seconds);
     }
     match check_legal(placer.design()) {
         Ok(()) => println!("layout is LEGAL"),

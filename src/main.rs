@@ -11,7 +11,7 @@
 
 use eplace_repro::benchgen::BenchmarkConfig;
 use eplace_repro::bookshelf::{read_aux, write_pl};
-use eplace_repro::core::{EplaceConfig, Placer, Stage};
+use eplace_repro::core::{EplaceConfig, Placer};
 use eplace_repro::legalize::check_legal;
 use eplace_repro::netlist::{Design, DesignStats};
 use std::error::Error;
@@ -186,18 +186,8 @@ fn main() -> ExitCode {
             route.final_report.peak_congestion,
         );
     }
-    for stage in [
-        Stage::Mip,
-        Stage::Mgp,
-        Stage::Mlg,
-        Stage::Cgp,
-        Stage::RouteRefine,
-        Stage::Cdp,
-    ] {
-        let s = report.stage_seconds(stage);
-        if s > 0.0 {
-            println!("{stage:>18}: {s:.2}s");
-        }
+    for phase in &report.phase_times {
+        println!("{:<18}: {:.2}s", phase.name, phase.seconds);
     }
     match check_legal(placer.design()) {
         Ok(()) => println!("legality          : OK"),

@@ -8,6 +8,7 @@ use eplace_repro::core::{EplaceConfig, Placer, Stage};
 use eplace_repro::netlist::Design;
 use eplace_repro::obs::json::{parse_json, JsonValue};
 use eplace_repro::obs::Obs;
+use std::time::Instant;
 
 fn small_design(seed: u64) -> Design {
     BenchmarkConfig::ispd05_like("obs", seed)
@@ -103,13 +104,17 @@ fn journaling_never_perturbs_the_trajectory() {
 
 #[test]
 fn phase_times_account_for_the_wall_clock() {
-    let report = run_with(small_design(83), Obs::disabled());
+    // The wall clock is taken here, not from the report: the report's
+    // total is the `flow` span, the same clock as the phases.
+    let mut placer = Placer::new(small_design(83), EplaceConfig::fast());
+    let start = Instant::now();
+    let report = placer.run().unwrap();
+    let total = start.elapsed().as_secs_f64();
     assert!(
         !report.phase_times.is_empty(),
         "phase times populate even with obs disabled"
     );
     let covered: f64 = report.phase_times.iter().map(|p| p.seconds).sum();
-    let total = report.total_seconds();
     assert!(
         covered <= total * 1.05,
         "phases ({covered}s) cannot out-time the flow ({total}s)"
@@ -162,6 +167,57 @@ fn mixed_flow_reports_every_stage() {
         assert_eq!(snap.counter(counter), *n as u64, "{counter}");
     }
     assert!(!journal.lines().is_empty());
+}
+
+#[test]
+fn flow_records_stage_counters_gauges_and_spans() {
+    let design = BenchmarkConfig::mms_like("obsr", 87, 1.0, 4)
+        .scale(200)
+        .generate();
+    let obs = Obs::metrics();
+    let report = run_with(design, obs.clone());
+    let snap = obs.snapshot();
+
+    assert_eq!(
+        snap.counter("mip_cg_iterations"),
+        report.mip.cg_iterations as u64
+    );
+    assert_eq!(snap.counter("mip_rebuilds"), report.mip.rebuilds as u64);
+    let mlg = report.mlg.as_ref().expect("mixed-size flow runs mLG");
+    assert_eq!(
+        snap.counter("mlg_outer_iterations"),
+        mlg.outer_iterations as u64
+    );
+    assert_eq!(
+        snap.counter("mlg_moves_attempted"),
+        mlg.moves_attempted as u64
+    );
+    assert_eq!(
+        snap.counter("mlg_moves_accepted"),
+        mlg.moves_accepted as u64
+    );
+    let legal = report.legalization.as_ref().expect("flow legalizes");
+    assert_eq!(snap.counter("legalize_cells_placed"), legal.placed as u64);
+    for gauge in ["detail_place_gain", "global_swap_gain"] {
+        assert!(snap.gauge(gauge).is_some(), "missing gauge {gauge}");
+    }
+
+    let calls = |path: &str| snap.span(path).map_or(0, |s| s.calls);
+    for path in [
+        "flow/mip",
+        "flow/mlg/mlg_anneal",
+        "flow/cdp/legalize_abacus",
+        "flow/cdp/global_swap",
+    ] {
+        assert_eq!(calls(path), 1, "{path}");
+    }
+    assert_eq!(calls("flow/cdp/detail_place"), 2);
+    assert!(
+        snap.spans
+            .iter()
+            .any(|s| s.path.starts_with("flow/mgp/") && s.name() == "cost_combine"),
+        "no cost_combine span below flow/mgp"
+    );
 }
 
 #[test]
