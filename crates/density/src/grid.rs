@@ -129,10 +129,6 @@ pub struct DensityGrid {
     /// ∂ψ/∂y per bin, in physical space.
     field_y: Vec<f64>,
     transform: Transform2d,
-    /// Dedicated plans for the parallel synthesis path (each thread needs
-    /// its own scratch space).
-    transform_psi: Transform2d,
-    transform_fx: Transform2d,
     coeff: Vec<f64>,
     /// Laplacian eigenfrequencies in bin-index space, `w_u = πu/nx`, and
     /// their squares — hoisted out of [`DensityGrid::solve`] so the
@@ -190,8 +186,6 @@ impl DensityGrid {
             field_x: vec![0.0; bins],
             field_y: vec![0.0; bins],
             transform: Transform2d::new(nx, ny).unwrap_or_else(|e| panic!("{e}")),
-            transform_psi: Transform2d::new(nx, ny).unwrap_or_else(|e| panic!("{e}")),
-            transform_fx: Transform2d::new(nx, ny).unwrap_or_else(|e| panic!("{e}")),
             coeff: vec![0.0; bins],
             wx_tab,
             wy_tab,
@@ -209,12 +203,11 @@ impl DensityGrid {
     /// historical single-threaded results bit for bit; any parallel setting
     /// produces one deterministic result regardless of the thread count,
     /// because work is chunked by data size only and partial sums are merged
-    /// in chunk order. The policy propagates to the spectral transforms.
+    /// in chunk order. The policy propagates to the spectral transform,
+    /// whose row and column passes are the solve's only parallel work.
     pub fn set_exec(&mut self, exec: ExecConfig) {
         self.exec = exec;
         self.transform.set_exec(exec);
-        self.transform_psi.set_exec(exec);
-        self.transform_fx.set_exec(exec);
     }
 
     /// Builder-style [`DensityGrid::set_exec`].
@@ -226,9 +219,8 @@ impl DensityGrid {
     /// Sets the observability recorder: deposits record a `density_deposit`
     /// span and solves a `density_solve` span. The recorder never feeds
     /// back into the numerics, so results are bit-identical either way.
-    /// Does not propagate to the owned [`Transform2d`]s — transform-level
-    /// spans would land on solver worker threads as detached roots; the
-    /// solve-level span already covers them.
+    /// Does not propagate to the owned [`Transform2d`]: the solve-level span
+    /// already covers its four transforms.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -237,12 +229,6 @@ impl DensityGrid {
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.set_obs(obs);
         self
-    }
-
-    /// The current execution policy.
-    #[inline]
-    pub fn exec(&self) -> ExecConfig {
-        self.exec
     }
 
     /// Grid width in bins.
@@ -512,28 +498,11 @@ impl DensityGrid {
         let scale_x = -inv_norm / self.bin_w;
         let scale_y = -inv_norm / self.bin_h;
 
-        // The three syntheses are independent — the paper's §VIII names
-        // "acceleration via parallel computation" as future work, and this
-        // is its lowest-hanging fruit: on large grids run them on separate
-        // threads (each with its own transform plan). Each synthesis writes
-        // only its own buffer, so the spawn changes scheduling, never
-        // arithmetic: results are bit-identical to the serial ordering.
-        const PARALLEL_BINS: usize = 128 * 128;
-        if !self.exec.is_serial() && nx * ny >= PARALLEL_BINS {
-            let psi_t = &mut self.transform_psi;
-            let fx_t = &mut self.transform_fx;
-            let (psi, fx, fy) = (&mut self.potential, &mut self.field_x, &mut self.field_y);
-            let fy_t = &mut self.transform;
-            std::thread::scope(|scope| {
-                scope.spawn(|| psi_t.dct3_scaled(psi, inv_norm));
-                scope.spawn(|| fx_t.dst3_x_scaled(fx, scale_x));
-                fy_t.dst3_y_scaled(fy, scale_y);
-            });
-        } else {
-            self.transform.dct3_scaled(&mut self.potential, inv_norm);
-            self.transform.dst3_x_scaled(&mut self.field_x, scale_x);
-            self.transform.dst3_y_scaled(&mut self.field_y, scale_y);
-        }
+        // The syntheses run one after another; each is parallel inside its
+        // row and column passes.
+        self.transform.dct3_scaled(&mut self.potential, inv_norm);
+        self.transform.dst3_x_scaled(&mut self.field_x, scale_x);
+        self.transform.dst3_y_scaled(&mut self.field_y, scale_y);
         self.solved = true;
     }
 
@@ -1106,9 +1075,9 @@ mod energy_consistency_tests {
 mod parallel_solve_tests {
     use super::*;
 
-    /// With a parallel exec policy, ≥128² grids take the threaded synthesis
-    /// path; its results must satisfy the same invariants the serial path
-    /// does.
+    /// With a parallel exec policy the solve's transforms split their row
+    /// and column passes over workers; the results must satisfy the same
+    /// invariants the serial path does.
     #[test]
     fn parallel_path_matches_physics() {
         let region = Rect::new(0.0, 0.0, 256.0, 256.0);
@@ -1135,7 +1104,7 @@ mod parallel_solve_tests {
         let gb = g.gradient(&objs[1], pos[1]);
         assert!(ga.x > 0.0 && gb.x < 0.0, "{ga} vs {gb}");
         // And match the energy finite difference (the full consistency
-        // check, through the threaded path).
+        // check, through the parallel path).
         let total_at = |p0: Point| {
             let mut gg = DensityGrid::new(region, 128, 128, 1.0);
             let pp = vec![p0, pos[1]];
@@ -1154,9 +1123,8 @@ mod parallel_solve_tests {
         );
     }
 
-    /// The threaded syntheses (and the row/column-parallel transforms under
-    /// them) only repartition independent work, so the full solve must be
-    /// *bit-identical* to the serial solve.
+    /// The row/column-parallel transforms only repartition independent
+    /// work, so the full solve must be *bit-identical* to the serial solve.
     #[test]
     fn threaded_solve_is_bitwise_serial() {
         let region = Rect::new(0.0, 0.0, 512.0, 512.0);

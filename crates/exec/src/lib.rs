@@ -2,39 +2,40 @@
 //!
 //! ePlace's runtime is dominated by three kernels — the WA wirelength
 //! gradient, density deposition, and the 2-D spectral transforms (paper
-//! Fig. 7: density 57 %, wirelength 29 % of mGP). This crate gives them a
-//! shared threading substrate built on `std::thread::scope`, with two hard
-//! guarantees the numerical tests rely on:
+//! Fig. 7: density 57 %, wirelength 29 % of mGP). This crate gives them one
+//! threading substrate built on `std::thread::scope`, with exactly two entry
+//! points for the two shapes of parallel work the kernels have:
 //!
-//! 1. **`threads = 1` is the serial code.** [`ExecConfig::serial`] takes the
-//!    exact same code path as the pre-parallel kernels, so single-threaded
-//!    results are bit-for-bit identical to the historical implementation.
-//! 2. **Parallel results are deterministic in the thread count.** Work is
-//!    split into *fixed* chunks whose boundaries depend only on the problem
-//!    size ([`deterministic_chunks`]), each chunk produces an independent
-//!    partial result, and partials are reduced **in chunk order** on the
-//!    calling thread ([`map_chunks`]). No atomic floats, no
-//!    first-come-first-merged races: `threads = 2` and `threads = 8`
-//!    produce identical bits.
+//! * [`for_each_chunk_pooled`] — *reductions* (WA net gradients, density
+//!   deposit, the router's probabilistic bulk). Work is split into *fixed*
+//!   chunks whose boundaries depend only on the problem size
+//!   ([`deterministic_chunks`]); each chunk fills its own pooled state, and
+//!   the caller reduces the states **in chunk order**. No atomic floats, no
+//!   first-come-first-merged races: `threads = 2` and `threads = 8` produce
+//!   identical bits.
+//! * [`for_each_unit_pooled`] — *disjoint units* (the row/column passes of
+//!   the 2-D transforms). Each unit is written by exactly one worker, so the
+//!   result is bitwise independent of the split by construction.
 //!
-//! Kernels whose parallel units write to *disjoint* outputs (the row/column
-//! passes of the 2-D transforms) do not need chunk reduction at all —
-//! [`for_each_unit`] hands each unit to exactly one worker and the result is
-//! bitwise independent of the schedule by construction.
+//! Both take caller-owned scratch pools, so steady-state calls allocate
+//! nothing, and both run inline on the calling thread, with no thread
+//! machinery at all, under [`ExecConfig::serial`]. Kernels never start
+//! threads of their own: one call is one level of parallelism.
 //!
 //! # Examples
 //!
 //! ```
-//! use eplace_exec::{deterministic_chunks, map_chunks, ExecConfig};
+//! use eplace_exec::{deterministic_chunks, for_each_chunk_pooled, ExecConfig};
 //!
 //! let data: Vec<f64> = (0..1000).map(|i| i as f64).collect();
 //! let exec = ExecConfig::with_threads(4);
 //! let chunks = deterministic_chunks(data.len(), 64, 8);
-//! let partials = map_chunks(&exec, data.len(), chunks, |_, range| {
-//!     data[range].iter().sum::<f64>()
+//! let mut partials = Vec::new();
+//! for_each_chunk_pooled(&exec, data.len(), chunks, &mut partials, || 0.0, |_, range, sum| {
+//!     *sum = data[range].iter().sum::<f64>();
 //! });
 //! // Reduction order is the chunk order — identical for every thread count.
-//! let total: f64 = partials.into_iter().sum();
+//! let total: f64 = partials[..chunks].iter().sum();
 //! assert_eq!(total, 499_500.0);
 //! ```
 
@@ -115,126 +116,17 @@ fn chunk_range(len: usize, num_chunks: usize, i: usize) -> Range<usize> {
     start..start + base + extra
 }
 
-/// Runs `work` over `num_chunks` fixed ranges of `0..len` and returns the
-/// per-chunk results **in chunk order**, regardless of which worker finished
-/// when. Reducing the returned vector front-to-back therefore gives the same
-/// floating-point result for every thread count ≥ 2; with
-/// [`ExecConfig::serial`] the chunks run inline on the calling thread in
-/// order, with no thread machinery at all.
-pub fn map_chunks<S, F>(exec: &ExecConfig, len: usize, num_chunks: usize, work: F) -> Vec<S>
-where
-    S: Send,
-    F: Fn(usize, Range<usize>) -> S + Sync,
-{
-    let num_chunks = num_chunks.max(1);
-    if exec.is_serial() || num_chunks == 1 {
-        return (0..num_chunks)
-            .map(|i| work(i, chunk_range(len, num_chunks, i)))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<S>>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = exec.threads().min(num_chunks);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= num_chunks {
-                    break;
-                }
-                let result = work(i, chunk_range(len, num_chunks, i));
-                // A worker never panics while holding the lock (the store is
-                // the only operation inside), so poison cannot carry state;
-                // recover rather than unwrap to keep the guarantee local.
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            match slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-            {
-                Some(result) => result,
-                // The scope joins every worker and each index is claimed by
-                // exactly one of them, so an empty slot is unreachable.
-                None => unreachable!("every chunk slot is filled before the scope ends"),
-            }
-        })
-        .collect()
-}
-
 /// Applies `work` to each consecutive `unit_len` block of `data` (e.g. each
-/// row of a row-major grid), distributing whole units across workers. Every
-/// unit is written by exactly one worker and units are disjoint, so the
-/// output is bitwise identical for every thread count. Each worker gets one
-/// scratch object from `scratch_init`, reused across all its units.
+/// row of a row-major grid), splitting the units statically into
+/// `threads.min(units)` contiguous spans, earlier workers taking the
+/// remainder. Every unit is written by exactly one worker and units are
+/// disjoint, so the output is bitwise identical for every thread count.
 ///
-/// # Panics
-///
-/// Panics if `data.len()` is not a multiple of `unit_len`.
-pub fn for_each_unit<T, S, M, F>(
-    exec: &ExecConfig,
-    data: &mut [T],
-    unit_len: usize,
-    scratch_init: M,
-    work: F,
-) where
-    T: Send,
-    S: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    assert!(unit_len > 0, "unit length must be positive");
-    assert_eq!(
-        data.len() % unit_len,
-        0,
-        "data length {} is not a multiple of unit length {}",
-        data.len(),
-        unit_len
-    );
-    let units = data.len() / unit_len;
-    if exec.is_serial() || units <= 1 {
-        let mut scratch = scratch_init();
-        for (i, unit) in data.chunks_mut(unit_len).enumerate() {
-            work(i, unit, &mut scratch);
-        }
-        return;
-    }
-    let workers = exec.threads().min(units);
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        let base = units / workers;
-        let rem = units % workers;
-        let mut first_unit = 0;
-        for w in 0..workers {
-            let take = (base + usize::from(w < rem)) * unit_len;
-            let (mine, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let start = first_unit;
-            first_unit += take / unit_len;
-            let scratch_init = &scratch_init;
-            let work = &work;
-            scope.spawn(move || {
-                let mut scratch = scratch_init();
-                for (k, unit) in mine.chunks_mut(unit_len).enumerate() {
-                    work(start + k, unit, &mut scratch);
-                }
-            });
-        }
-    });
-}
-
-/// [`for_each_unit`] with caller-owned scratch: instead of building one
-/// scratch per worker per call, `pool` is topped up to the worker count with
-/// `scratch_init` (on the calling thread) and each worker borrows one slot,
-/// so steady-state calls allocate nothing. Scratch contents persist between
-/// calls; `work` must not read scratch state it has not written this call —
-/// the same contract the per-worker reuse across units already imposes.
+/// `pool` is topped up to the worker count with `scratch_init` (on the
+/// calling thread) and each worker borrows one slot for all its units, so
+/// steady-state calls allocate nothing. Scratch contents persist between
+/// units and calls; `work` must not read scratch state it has not written
+/// for the current unit.
 ///
 /// # Panics
 ///
@@ -301,149 +193,11 @@ pub fn for_each_unit_pooled<T, S, M, F>(
     });
 }
 
-/// A precomputed unit-distribution schedule: which contiguous span of units
-/// each worker owns for a fixed `(units, threads)` pair.
-///
-/// [`for_each_unit_pooled`] recomputes the worker count and the base/remainder
-/// split on every call; a `UnitSchedule` captures that split once (plans cache
-/// one per `ExecConfig`) and [`for_each_unit_scheduled`] replays it. The spans
-/// are the *exact* partition `for_each_unit_pooled` would produce for the same
-/// inputs, so swapping one for the other never moves a unit between workers —
-/// and unit outputs are disjoint, so results stay bitwise identical either
-/// way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnitSchedule {
-    units: usize,
-    threads: usize,
-    /// Per-worker unit spans, in worker order; they tile `0..units` exactly.
-    spans: Vec<Range<usize>>,
-}
-
-impl UnitSchedule {
-    /// Computes the schedule for `units` work units under `exec` — the same
-    /// `workers = threads.min(units)` count and base/remainder split the
-    /// unscheduled entry points use.
-    pub fn new(units: usize, exec: &ExecConfig) -> Self {
-        let threads = exec.threads();
-        let workers = if exec.is_serial() || units <= 1 {
-            1
-        } else {
-            threads.min(units)
-        };
-        let base = units / workers;
-        let rem = units % workers;
-        let mut spans = Vec::with_capacity(workers);
-        let mut first = 0;
-        for w in 0..workers {
-            let take = base + usize::from(w < rem);
-            spans.push(first..first + take);
-            first += take;
-        }
-        UnitSchedule {
-            units,
-            threads,
-            spans,
-        }
-    }
-
-    /// The number of work units this schedule distributes.
-    #[inline]
-    pub fn units(&self) -> usize {
-        self.units
-    }
-
-    /// The thread count the schedule was computed for.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The number of workers that will actually run (`threads.min(units)`,
-    /// floored at 1).
-    #[inline]
-    pub fn workers(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// The per-worker unit spans, in worker order.
-    #[inline]
-    pub fn spans(&self) -> &[Range<usize>] {
-        &self.spans
-    }
-}
-
-/// [`for_each_unit_pooled`] driven by a precomputed [`UnitSchedule`] instead
-/// of a per-call split. The schedule must have been built for
-/// `data.len() / unit_len` units; worker `w` processes exactly the units in
-/// `schedule.spans()[w]`, with `pool[w]` as its scratch.
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not a multiple of `unit_len`, or if the
-/// schedule's unit count differs from `data.len() / unit_len`.
-pub fn for_each_unit_scheduled<T, S, M, F>(
-    schedule: &UnitSchedule,
-    data: &mut [T],
-    unit_len: usize,
-    pool: &mut Vec<S>,
-    scratch_init: M,
-    work: F,
-) where
-    T: Send,
-    S: Send,
-    M: Fn() -> S,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    assert!(unit_len > 0, "unit length must be positive");
-    assert_eq!(
-        data.len() % unit_len,
-        0,
-        "data length {} is not a multiple of unit length {}",
-        data.len(),
-        unit_len
-    );
-    let units = data.len() / unit_len;
-    assert_eq!(
-        schedule.units, units,
-        "schedule built for {} units applied to {}",
-        schedule.units, units
-    );
-    let workers = schedule.workers();
-    while pool.len() < workers {
-        pool.push(scratch_init());
-    }
-    if workers == 1 {
-        let scratch = &mut pool[0];
-        for (i, unit) in data.chunks_mut(unit_len).enumerate() {
-            work(i, unit, scratch);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        let mut scratches = &mut pool[..workers];
-        for span in &schedule.spans {
-            let take = span.len() * unit_len;
-            let (mine, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let (slot, scratch_tail) = scratches.split_at_mut(1);
-            scratches = scratch_tail;
-            let start = span.start;
-            let work = &work;
-            scope.spawn(move || {
-                let scratch = &mut slot[0];
-                for (k, unit) in mine.chunks_mut(unit_len).enumerate() {
-                    work(start + k, unit, scratch);
-                }
-            });
-        }
-    });
-}
-
-/// [`map_chunks`] with caller-owned per-chunk state: chunk `i` of
-/// `num_chunks` fixed ranges of `0..len` runs `work(i, range, &mut pool[i])`
-/// exactly once, with `pool` topped up beforehand via `scratch_init` (on the
-/// calling thread). After the call `pool[..num_chunks]` holds the per-chunk
+/// Splits `0..len` into `num_chunks` fixed near-equal ranges and runs
+/// `work(i, range, &mut pool[i])` exactly once per chunk `i`, with `pool`
+/// topped up beforehand via `scratch_init` (on the calling thread). With
+/// [`ExecConfig::serial`] or a single chunk the chunks run inline, in order,
+/// on the calling thread. After the call `pool[..num_chunks]` holds the per-chunk
 /// results in chunk order — reduce them front-to-back for a thread-count
 /// invariant result, then hand the same pool back next call so steady-state
 /// iterations allocate nothing. `work` is responsible for resetting any
@@ -470,7 +224,7 @@ pub fn for_each_chunk_pooled<S, M, F>(
         }
         return;
     }
-    // Dynamic chunk claiming as in `map_chunks`; each slot's mutex is locked
+    // Workers claim chunk indices dynamically; each slot's mutex is locked
     // exactly once, by the worker that claimed its index.
     let slots: Vec<Mutex<&mut S>> = pool.iter_mut().take(num_chunks).map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
@@ -535,87 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_matches_serial_for_every_thread_count() {
-        let len = 10_000;
-        let chunks = deterministic_chunks(len, 512, 8);
-        let reduce = |exec: &ExecConfig| {
-            map_chunks(exec, len, chunks, |_, r| noisy_sum(r))
-                .into_iter()
-                .fold(0.0, |acc, x| acc + x)
-        };
-        let serial = reduce(&ExecConfig::serial());
-        for threads in [2, 3, 5, 8] {
-            let parallel = reduce(&ExecConfig::with_threads(threads));
-            assert_eq!(serial.to_bits(), parallel.to_bits(), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn map_chunks_preserves_chunk_order() {
-        let got = map_chunks(&ExecConfig::with_threads(4), 100, 10, |i, r| (i, r.start));
-        for (i, &(idx, start)) in got.iter().enumerate() {
-            assert_eq!(idx, i);
-            assert_eq!(start, i * 10);
-        }
-    }
-
-    #[test]
-    fn for_each_unit_is_thread_count_invariant() {
-        let run = |threads| {
-            let mut data: Vec<f64> = (0..64 * 16).map(|i| (i % 97) as f64).collect();
-            for_each_unit(
-                &ExecConfig::with_threads(threads),
-                &mut data,
-                64,
-                || vec![0.0f64; 64],
-                |i, unit, scratch| {
-                    for (k, v) in unit.iter_mut().enumerate() {
-                        scratch[k] = *v * (i + 1) as f64;
-                    }
-                    unit.copy_from_slice(scratch);
-                },
-            );
-            data
-        };
-        let serial = run(1);
-        for threads in [2, 4, 16] {
-            assert_eq!(serial, run(threads), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn for_each_unit_visits_every_unit_once() {
-        let mut data = vec![0u64; 8 * 13];
-        for_each_unit(
-            &ExecConfig::with_threads(3),
-            &mut data,
-            13,
-            || (),
-            |i, unit, _| {
-                for v in unit.iter_mut() {
-                    *v += i as u64 + 1;
-                }
-            },
-        );
-        for (i, block) in data.chunks(13).enumerate() {
-            assert!(block.iter().all(|&v| v == i as u64 + 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn for_each_unit_rejects_ragged_data() {
-        let mut data = vec![0.0f64; 10];
-        for_each_unit(&ExecConfig::serial(), &mut data, 3, || (), |_, _, _| {});
-    }
-
-    #[test]
-    fn map_chunks_handles_empty_input() {
-        let out = map_chunks(&ExecConfig::with_threads(4), 0, 1, |_, r| r.len());
-        assert_eq!(out, vec![0]);
-    }
-
-    #[test]
     fn pooled_units_match_fresh_scratch_and_reuse_pool() {
         let run = |threads: usize, pool: &mut Vec<Vec<f64>>| {
             let mut data: Vec<f64> = (0..64 * 16).map(|i| (i % 97) as f64).collect();
@@ -648,64 +321,69 @@ mod tests {
     }
 
     #[test]
-    fn unit_schedule_replicates_pooled_partition() {
-        // The schedule's spans must be the exact partition
-        // for_each_unit_pooled derives inline: workers = threads.min(units),
-        // earlier workers take the remainder units.
-        for &(units, threads) in &[(16usize, 4usize), (7, 3), (5, 8), (1, 4), (0, 2), (97, 6)] {
-            let sched = UnitSchedule::new(units, &ExecConfig::with_threads(threads));
-            assert_eq!(sched.units(), units);
-            assert_eq!(sched.threads(), threads);
-            let workers = if units <= 1 { 1 } else { threads.min(units) };
-            assert_eq!(sched.workers(), workers);
-            let (base, rem) = (units / workers, units % workers);
-            let mut covered = 0;
-            for (w, span) in sched.spans().iter().enumerate() {
-                assert_eq!(span.start, covered, "units {units} threads {threads}");
-                assert_eq!(span.len(), base + usize::from(w < rem));
-                covered = span.end;
-            }
-            assert_eq!(covered, units);
-        }
-        // Serial config always collapses to one worker.
-        assert_eq!(UnitSchedule::new(64, &ExecConfig::serial()).workers(), 1);
-    }
-
-    #[test]
-    fn scheduled_units_match_pooled_bitwise() {
-        let work = |i: usize, unit: &mut [f64], scratch: &mut Vec<f64>| {
-            for (k, v) in unit.iter_mut().enumerate() {
-                scratch[k] = *v * (i + 1) as f64 + 0.1;
-            }
-            unit.copy_from_slice(scratch);
-        };
-        let mut expect: Vec<f64> = (0..64 * 16).map(|i| (i % 97) as f64).collect();
+    fn pooled_units_visit_every_unit_once() {
+        let mut data = vec![0u64; 8 * 13];
         for_each_unit_pooled(
-            &ExecConfig::with_threads(5),
-            &mut expect,
-            64,
+            &ExecConfig::with_threads(3),
+            &mut data,
+            13,
             &mut Vec::new(),
-            || vec![0.0f64; 64],
-            work,
+            || (),
+            |i, unit, _| {
+                for v in unit.iter_mut() {
+                    *v += i as u64 + 1;
+                }
+            },
         );
-        for threads in [1usize, 2, 3, 8] {
-            let exec = ExecConfig::with_threads(threads);
-            let sched = UnitSchedule::new(16, &exec);
-            let mut data: Vec<f64> = (0..64 * 16).map(|i| (i % 97) as f64).collect();
-            let mut pool = Vec::new();
-            for_each_unit_scheduled(&sched, &mut data, 64, &mut pool, || vec![0.0f64; 64], work);
-            assert_eq!(pool.len(), sched.workers());
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&expect), bits(&data), "threads {threads}");
+        for (i, block) in data.chunks(13).enumerate() {
+            assert!(block.iter().all(|&v| v == i as u64 + 1));
         }
     }
 
     #[test]
-    #[should_panic(expected = "schedule built for")]
-    fn scheduled_units_reject_mismatched_unit_count() {
-        let sched = UnitSchedule::new(4, &ExecConfig::with_threads(2));
-        let mut data = vec![0.0f64; 64 * 16];
-        for_each_unit_scheduled(&sched, &mut data, 64, &mut Vec::new(), || (), |_, _, _| {});
+    #[should_panic(expected = "not a multiple")]
+    fn pooled_units_reject_ragged_data() {
+        let mut data = vec![0.0f64; 10];
+        for_each_unit_pooled(
+            &ExecConfig::serial(),
+            &mut data,
+            3,
+            &mut Vec::new(),
+            || (),
+            |_, _, _| {},
+        );
+    }
+
+    #[test]
+    fn pooled_chunks_preserve_chunk_order() {
+        let mut pool = Vec::new();
+        for_each_chunk_pooled(
+            &ExecConfig::with_threads(4),
+            100,
+            10,
+            &mut pool,
+            || (usize::MAX, usize::MAX),
+            |i, r, slot| *slot = (i, r.start),
+        );
+        assert_eq!(pool.len(), 10);
+        for (i, &(idx, start)) in pool.iter().enumerate() {
+            assert_eq!(idx, i);
+            assert_eq!(start, i * 10);
+        }
+    }
+
+    #[test]
+    fn pooled_chunks_handle_empty_input() {
+        let mut pool = Vec::new();
+        for_each_chunk_pooled(
+            &ExecConfig::with_threads(4),
+            0,
+            deterministic_chunks(0, 64, 8),
+            &mut pool,
+            || usize::MAX,
+            |_, r, slot| *slot = r.len(),
+        );
+        assert_eq!(pool, vec![0]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::decompose::{decompose, Segment};
 use crate::grid::{CapacityGrid, DemandSink};
 use crate::maze::{deposit_path, maze_search, MazeScratch};
 use crate::prob::deposit_probabilistic;
-use eplace_exec::{deterministic_chunks, map_chunks, ExecConfig};
+use eplace_exec::{deterministic_chunks, for_each_chunk_pooled, ExecConfig};
 use eplace_netlist::Design;
 
 /// Routing model parameters. The defaults route the synthetic suites at
@@ -120,14 +120,21 @@ pub fn route_design(design: &Design, cfg: &RouteConfig, exec: &ExecConfig) -> Ro
 
     // --- Phase 1: probabilistic bulk, parallel over fixed chunks ---------
     let chunks = deterministic_chunks(segments.len(), 256, 16);
-    let partials = map_chunks(exec, segments.len(), chunks, |_, range| {
-        let mut sink = DemandSink::for_grid(&grid);
-        let mut wl = 0.0;
-        for seg in &segments[range] {
-            wl += deposit_probabilistic(seg, &mut sink, bin_w, bin_h, 1.0);
-        }
-        (sink, wl)
-    });
+    // The pool is fresh on every call, so each chunk starts from an empty
+    // sink and a zero length.
+    let mut partials = Vec::new();
+    for_each_chunk_pooled(
+        exec,
+        segments.len(),
+        chunks,
+        &mut partials,
+        || (DemandSink::for_grid(&grid), 0.0),
+        |_, range, (sink, wl)| {
+            for seg in &segments[range] {
+                *wl += deposit_probabilistic(seg, sink, bin_w, bin_h, 1.0);
+            }
+        },
+    );
     let mut routed_wl = 0.0;
     for (sink, wl) in &partials {
         grid.absorb(sink);

@@ -2,9 +2,9 @@
 //!
 //! Plan construction is `O(N)` memory but `O(N)` libm trigonometry calls —
 //! comfortably the most expensive part of standing up a transform. The
-//! placer builds three `Transform2d` objects per density grid (density,
-//! potential, field) and rebuilds the grid at every GP stage, so without a
-//! cache the same twiddle/cosine tables are recomputed six times per stage.
+//! placer rebuilds its density grid, and with it the grid's `Transform2d`,
+//! at every GP stage, so without a cache the same twiddle/cosine tables
+//! would be recomputed for every stage.
 //! [`SpectralPlan::get`] computes each size's tables exactly once per
 //! process and hands out shared references afterwards.
 //!
@@ -15,11 +15,10 @@
 //! The historical `Mutex<Vec<…>>` serialized every lookup — under
 //! `eplace-serve`, concurrent jobs contended on a read-mostly cache.
 //!
-//! Each cached entry also carries the plan's *parallel strategy*: the
-//! per-thread-count [`UnitSchedule`]s a 2-D transform uses to split its
-//! row/column passes. `Transform2d` fetches the schedule for its
-//! `ExecConfig` once (read-locked; written only on the first request per
-//! thread count) instead of recomputing the split on every call.
+//! A plan carries tables only. How a 2-D transform splits its row and
+//! column passes over workers is decided per call by
+//! [`eplace_exec::for_each_unit_pooled`] from the transform's own
+//! `ExecConfig`, so the cache holds no per-thread-count state.
 //!
 //! Sharing cannot change numerics: plan construction is deterministic, so a
 //! cached plan is bit-identical to a freshly built one — the cache only
@@ -27,25 +26,13 @@
 
 use crate::{DctPlan, Pow2};
 use eplace_errors::EplaceError;
-use eplace_exec::{ExecConfig, UnitSchedule};
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// One slot per possible power-of-two size on a 64-bit machine.
 const SLOT_COUNT: usize = usize::BITS as usize;
 
-/// A cached plan plus its precomputed parallel strategies.
-#[derive(Debug)]
-struct PlanEntry {
-    plan: DctPlan,
-    /// `(threads, schedule)` pairs for every `ExecConfig` seen so far. A
-    /// handful of distinct thread counts exist per process, so a read-locked
-    /// linear scan is the steady state; the write lock is taken only the
-    /// first time a new thread count shows up.
-    schedules: RwLock<Vec<(usize, Arc<UnitSchedule>)>>,
-}
-
-static SLOTS: [OnceLock<Arc<PlanEntry>>; SLOT_COUNT] = [const { OnceLock::new() }; SLOT_COUNT];
+static SLOTS: [OnceLock<Arc<DctPlan>>; SLOT_COUNT] = [const { OnceLock::new() }; SLOT_COUNT];
 
 /// A shared, immutable [`DctPlan`] from the process-wide per-size cache.
 ///
@@ -64,7 +51,7 @@ static SLOTS: [OnceLock<Arc<PlanEntry>>; SLOT_COUNT] = [const { OnceLock::new() 
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpectralPlan {
-    inner: Arc<PlanEntry>,
+    inner: Arc<DctPlan>,
 }
 
 impl SpectralPlan {
@@ -81,45 +68,10 @@ impl SpectralPlan {
     /// [`SpectralPlan::get`] for a checked-at-construction size — infallible.
     pub fn for_pow2(size: Pow2) -> Self {
         let slot = &SLOTS[size.get().trailing_zeros() as usize];
-        let entry = slot.get_or_init(|| {
-            Arc::new(PlanEntry {
-                plan: DctPlan::for_pow2(size),
-                schedules: RwLock::new(Vec::new()),
-            })
-        });
+        let plan = slot.get_or_init(|| Arc::new(DctPlan::for_pow2(size)));
         SpectralPlan {
-            inner: Arc::clone(entry),
+            inner: Arc::clone(plan),
         }
-    }
-
-    /// The parallel strategy for this plan's size under `exec`: how the
-    /// `size` row/column units of a 2-D pass are distributed over workers.
-    /// Computed once per `(size, threads)` pair and shared afterwards —
-    /// repeat calls take only the read lock.
-    pub fn schedule(&self, exec: &ExecConfig) -> Arc<UnitSchedule> {
-        let threads = exec.threads();
-        {
-            let guard = self
-                .inner
-                .schedules
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some((_, sched)) = guard.iter().find(|(t, _)| *t == threads) {
-                return Arc::clone(sched);
-            }
-        }
-        let mut guard = self
-            .inner
-            .schedules
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Another thread may have filled the slot between the locks.
-        if let Some((_, sched)) = guard.iter().find(|(t, _)| *t == threads) {
-            return Arc::clone(sched);
-        }
-        let sched = Arc::new(UnitSchedule::new(self.inner.plan.len(), exec));
-        guard.push((threads, Arc::clone(&sched)));
-        sched
     }
 
     /// `true` when `self` and `other` share one cached table set.
@@ -137,7 +89,7 @@ impl Deref for SpectralPlan {
     type Target = DctPlan;
 
     fn deref(&self) -> &DctPlan {
-        &self.inner.plan
+        &self.inner
     }
 }
 
@@ -204,7 +156,7 @@ mod tests {
     #[test]
     fn contended_gets_return_bit_identical_plans() {
         // Regression test for the old Mutex<Vec> cache: many threads
-        // hammering get() + schedule() concurrently must all land on one
+        // hammering get() concurrently must all land on one
         // shared entry whose transforms agree bit for bit, with no lock
         // poisoning or torn initialization.
         let x: Vec<f64> = (0..512).map(|i| (i as f64 * 0.13).cos()).collect();
@@ -215,13 +167,12 @@ mod tests {
             .map(|f| f.to_bits())
             .collect();
         std::thread::scope(|scope| {
-            for t in 0..16 {
+            for _ in 0..16 {
                 let (x, expect) = (&x, &expect);
                 scope.spawn(move || {
                     for round in 0..50 {
                         let plan = SpectralPlan::get(512).unwrap();
-                        let sched = plan.schedule(&ExecConfig::with_threads(t % 4 + 1));
-                        assert_eq!(sched.units(), 512);
+                        assert_eq!(plan.len(), 512);
                         if round % 10 == 0 {
                             let got: Vec<u64> = plan.dct2(x).iter().map(|f| f.to_bits()).collect();
                             assert_eq!(&got, expect);
@@ -230,19 +181,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn schedules_are_cached_per_thread_count() {
-        let plan = SpectralPlan::get(64).unwrap();
-        let a = plan.schedule(&ExecConfig::with_threads(3));
-        let b = plan.schedule(&ExecConfig::with_threads(3));
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = plan.schedule(&ExecConfig::with_threads(5));
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(a.workers(), 3);
-        assert_eq!(c.workers(), 5);
-        // The cached schedule is exactly what a fresh computation yields.
-        assert_eq!(*a, UnitSchedule::new(64, &ExecConfig::with_threads(3)));
     }
 }

@@ -1,9 +1,8 @@
 use crate::dct::DctScratch;
 use crate::{DctPlan, Pow2, SpectralPlan};
 use eplace_errors::EplaceError;
-use eplace_exec::{for_each_unit_scheduled, ExecConfig, UnitSchedule};
+use eplace_exec::{for_each_unit_pooled, ExecConfig};
 use eplace_obs::Obs;
-use std::sync::Arc;
 
 /// Which 1-D kernel a pass applies along an axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,12 +40,11 @@ enum Kernel {
 /// computing the identical `v·scale` products.
 ///
 /// With [`Transform2d::set_exec`] the row pass, both transposes, and the
-/// column pass run on scoped worker threads. Every parallel unit (one row or
-/// one column) is written by exactly one worker, so the result is bitwise
-/// identical for every thread count, including the serial default. The
-/// worker split itself is not recomputed per call: each cached plan carries
-/// its [`UnitSchedule`] per thread count, fetched once in
-/// [`Transform2d::set_exec`] and replayed by every pass.
+/// column pass each go through [`for_each_unit_pooled`], the exec layer's
+/// static split of disjoint units over scoped workers. Every parallel unit
+/// (one row or one column) is written by exactly one worker, so the result
+/// is bitwise identical for every thread count, including the serial
+/// default. The transform starts no threads of its own.
 ///
 /// # Examples
 ///
@@ -77,12 +75,6 @@ pub struct Transform2d {
     /// persistent across calls.
     pool_x: Vec<DctScratch>,
     pool_y: Vec<DctScratch>,
-    /// Plan-carried worker split for the passes with `ny` units (the row
-    /// transform and the transpose-back), shared via `plan_y`'s cache entry.
-    sched_rows: Arc<UnitSchedule>,
-    /// Plan-carried worker split for the passes with `nx` units (the
-    /// transpose-in and the column transform), shared via `plan_x`'s entry.
-    sched_cols: Arc<UnitSchedule>,
     exec: ExecConfig,
     obs: Obs,
 }
@@ -105,9 +97,6 @@ impl Transform2d {
         let plan_x = SpectralPlan::for_pow2(nx);
         let plan_y = SpectralPlan::for_pow2(ny);
         let (nx, ny) = (nx.get(), ny.get());
-        let exec = ExecConfig::serial();
-        let sched_rows = plan_y.schedule(&exec);
-        let sched_cols = plan_x.schedule(&exec);
         Transform2d {
             nx,
             ny,
@@ -118,20 +107,14 @@ impl Transform2d {
             scratch_y: DctScratch::new(ny),
             pool_x: Vec::new(),
             pool_y: Vec::new(),
-            sched_rows,
-            sched_cols,
-            exec,
+            exec: ExecConfig::serial(),
             obs: Obs::disabled(),
         }
     }
 
-    /// Sets the execution configuration for subsequent transforms, fetching
-    /// the plan-carried [`UnitSchedule`]s for the new thread count (computed
-    /// at most once per `(size, threads)` pair process-wide).
+    /// Sets the execution configuration for subsequent transforms.
     pub fn set_exec(&mut self, exec: ExecConfig) {
         self.exec = exec;
-        self.sched_rows = self.plan_y.schedule(&exec);
-        self.sched_cols = self.plan_x.schedule(&exec);
     }
 
     /// Builder form of [`Transform2d::set_exec`].
@@ -287,9 +270,10 @@ impl Transform2d {
         // never touches the heap, so building one per call stays
         // allocation-free.
         let mut unit_pool: Vec<()> = Vec::new();
+        let exec = &self.exec;
         let plan_x = &self.plan_x;
-        for_each_unit_scheduled(
-            &self.sched_rows,
+        for_each_unit_pooled(
+            exec,
             data,
             nx,
             &mut self.pool_x,
@@ -298,8 +282,8 @@ impl Transform2d {
         );
         {
             let src: &[f64] = data;
-            for_each_unit_scheduled(
-                &self.sched_cols,
+            for_each_unit_pooled(
+                exec,
                 &mut self.transpose_buf,
                 ny,
                 &mut unit_pool,
@@ -312,8 +296,8 @@ impl Transform2d {
             );
         }
         let plan_y = &self.plan_y;
-        for_each_unit_scheduled(
-            &self.sched_cols,
+        for_each_unit_pooled(
+            exec,
             &mut self.transpose_buf,
             ny,
             &mut self.pool_y,
@@ -324,8 +308,8 @@ impl Transform2d {
         // `v·scale` is the identical product the separate post-pass would
         // compute, and `·1.0` is a bitwise identity for the unscaled calls.
         let src: &[f64] = &self.transpose_buf;
-        for_each_unit_scheduled(
-            &self.sched_rows,
+        for_each_unit_pooled(
+            exec,
             data,
             nx,
             &mut unit_pool,
@@ -588,21 +572,18 @@ mod tests {
     }
 
     #[test]
-    fn set_exec_adopts_plan_carried_schedules() {
-        // The schedules a transform consumes are the plan cache's shared
-        // objects for the configured thread count, not per-call recomputes.
+    fn set_exec_sizes_worker_pools_to_the_thread_count() {
+        // The worker split follows the transform's own ExecConfig on every
+        // call: one pooled scratch per worker, `threads.min(lines)` workers.
         let mut t = Transform2d::new(16, 32).unwrap();
-        assert_eq!(t.sched_rows.workers(), 1);
-        assert_eq!(t.sched_cols.workers(), 1);
-        let exec = eplace_exec::ExecConfig::with_threads(3);
-        t.set_exec(exec);
-        assert_eq!(t.sched_rows.units(), 32);
-        assert_eq!(t.sched_cols.units(), 16);
-        assert_eq!(t.sched_rows.workers(), 3);
-        assert!(Arc::ptr_eq(&t.sched_rows, &t.plan_y.schedule(&exec)));
-        assert!(Arc::ptr_eq(&t.sched_cols, &t.plan_x.schedule(&exec)));
-        // And the transform still works after the swap.
         let mut w = grid(16, 32);
+        t.set_exec(eplace_exec::ExecConfig::with_threads(3));
         t.dct2(&mut w);
+        assert_eq!((t.pool_x.len(), t.pool_y.len()), (3, 3));
+        t.set_exec(eplace_exec::ExecConfig::with_threads(64));
+        t.dct2(&mut w);
+        // Rows are split over min(64, ny = 32) workers, columns over
+        // min(64, nx = 16).
+        assert_eq!((t.pool_x.len(), t.pool_y.len()), (32, 16));
     }
 }

@@ -4,9 +4,6 @@ use eplace_geometry::Point;
 use eplace_netlist::{Design, Net};
 use eplace_obs::Obs;
 
-/// Nets below this count are not worth fanning out to worker threads.
-const MIN_PARALLEL_NETS: usize = 64;
-
 /// Per-worker scratch for one net's WA evaluation: exponent tables, pin
 /// coordinates, and per-pin axis derivatives.
 #[derive(Debug, Clone)]
@@ -172,7 +169,9 @@ impl WaChunkScratch {
 /// net count, each chunk accumulates into its own scratch gradient, and the
 /// partials are reduced in chunk order — so results are identical for every
 /// thread count ≥ 2 and within rounding (`≤ 1e-9` relative) of the serial
-/// path. The serial default reproduces the historical code bit-for-bit.
+/// path. A design with at most 256 nets is a single chunk and runs the
+/// serial loop at any thread count. The serial default reproduces the
+/// historical code bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct WaModel {
     scratch: NetScratch,
@@ -233,10 +232,14 @@ impl WaModel {
                 *p = Point::ORIGIN;
             }
         }
-        if self.exec.is_serial() || design.nets.len() < MIN_PARALLEL_NETS {
+        // Chunk boundaries depend only on the net count (never the thread
+        // count): they fix the floating-point reduction order. One chunk is
+        // the serial sum started from zero, so it takes the serial loop.
+        let chunks = deterministic_chunks(design.nets.len(), 256, 8);
+        if self.exec.is_serial() || chunks == 1 {
             self.run_serial(design, pos, gamma, grad)
         } else {
-            self.run_parallel(design, pos, gamma, grad)
+            self.run_parallel(design, pos, gamma, chunks, grad)
         }
     }
 
@@ -265,19 +268,16 @@ impl WaModel {
         design: &Design,
         pos: &[Point],
         gamma: f64,
+        chunks: usize,
         mut grad: Option<&mut [Point]>,
     ) -> f64 {
-        let n_nets = design.nets.len();
-        // Chunk boundaries depend only on the net count (never the thread
-        // count): they fix the floating-point reduction order.
-        let chunks = deterministic_chunks(n_nets, 256, 8);
         let want = grad.is_some();
         let slots = grad.as_deref().map_or(0, |g| g.len());
         let max_degree = self.max_degree;
         let exec = self.exec;
         for_each_chunk_pooled(
             &exec,
-            n_nets,
+            design.nets.len(),
             chunks,
             &mut self.chunk_pool,
             || WaChunkScratch::new(max_degree),
@@ -475,7 +475,7 @@ mod tests {
         assert!((w - 48.0).abs() < 1e-6);
     }
 
-    /// A many-net design that crosses the parallel fan-out threshold.
+    /// A many-net design; above 256 nets it spans several WA chunks.
     fn mesh_design(n_cells: usize) -> (Design, Vec<Point>) {
         let mut b = DesignBuilder::new("mesh", Rect::new(0.0, 0.0, 1000.0, 1000.0));
         let ids: Vec<_> = (0..n_cells)
@@ -536,6 +536,30 @@ mod tests {
         assert_eq!(wa.chunk_pool.len(), pool_len, "pool should be reused");
         assert_eq!(w1.to_bits(), w2.to_bits());
         for (a, b) in g1.iter().zip(&g2) {
+            assert_eq!(a.x.to_bits(), b.x.to_bits());
+            assert_eq!(a.y.to_bits(), b.y.to_bits());
+        }
+    }
+
+    #[test]
+    fn single_chunk_parallel_run_is_bitwise_serial() {
+        // 200 nets make one chunk, which runs the serial loop at any thread
+        // count: same bits, and no chunk pool is built.
+        let (d, pos) = mesh_design(200);
+        assert_eq!(deterministic_chunks(d.nets.len(), 256, 8), 1);
+        let run = |exec: ExecConfig| {
+            let mut wa = WaModel::new(&d).with_exec(exec);
+            let mut g = vec![Point::ORIGIN; pos.len()];
+            let w = wa.gradient(&d, &pos, 3.0, &mut g);
+            let e = wa.evaluate(&d, &pos, 3.0);
+            assert!(wa.chunk_pool.is_empty());
+            (w, e, g)
+        };
+        let (ws, es, gs) = run(ExecConfig::serial());
+        let (wp, ep, gp) = run(ExecConfig::with_threads(4));
+        assert_eq!(ws.to_bits(), wp.to_bits());
+        assert_eq!(es.to_bits(), ep.to_bits());
+        for (a, b) in gs.iter().zip(&gp) {
             assert_eq!(a.x.to_bits(), b.x.to_bits());
             assert_eq!(a.y.to_bits(), b.y.to_bits());
         }

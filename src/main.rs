@@ -2,7 +2,8 @@
 //!
 //! Reads a Bookshelf benchmark (`.aux`), runs the full ePlace flow, writes
 //! the placed `.pl`, and prints a placement report. Without `--aux` it
-//! demonstrates on a generated circuit.
+//! demonstrates on a generated circuit. It exits non-zero when the final
+//! placement is not legal, and warns on stderr when mGP did not converge.
 //!
 //! ```sh
 //! eplace-repro --aux adaptec1.aux --out adaptec1_eplace.pl [--rho 0.5] [--fast]
@@ -189,11 +190,22 @@ fn main() -> ExitCode {
     for phase in &report.phase_times {
         println!("{:<18}: {:.2}s", phase.name, phase.seconds);
     }
-    match check_legal(placer.design()) {
+    if let Some(e) = &report.legalization_error {
+        println!("legalization      : FAILED ({e})");
+    }
+    let legality = check_legal(placer.design());
+    match &legality {
         Ok(()) => println!("legality          : OK"),
-        Err(e) => {
-            println!("legality          : VIOLATED ({e})");
-        }
+        Err(e) => println!("legality          : VIOLATED ({e})"),
+    }
+    let verdict = judge(
+        report.mgp_converged,
+        report.mgp_iterations,
+        report.legalization_error.as_deref(),
+        legality.err().as_deref(),
+    );
+    if let Some(warning) = &verdict.warning {
+        eprintln!("warning: {warning}");
     }
     if args.metrics_summary {
         println!(
@@ -223,5 +235,78 @@ fn main() -> ExitCode {
         }
         eprintln!("solution written to {out}");
     }
-    ExitCode::SUCCESS
+    match verdict.failure {
+        Some(failure) => {
+            eprintln!("error: {failure}");
+            ExitCode::FAILURE
+        }
+        None => ExitCode::SUCCESS,
+    }
+}
+
+/// What a finished run tells the user beyond its report lines.
+#[derive(Debug, PartialEq)]
+struct Verdict {
+    /// Printed on stderr; the run still exits 0.
+    warning: Option<String>,
+    /// Why the placement is unusable; the run exits non-zero.
+    failure: Option<String>,
+}
+
+/// Judges a finished run: an illegal result (legalization failed, or the
+/// final layout fails `check_legal`) is a failure, and an mGP that stopped
+/// short of its overflow target is a warning.
+fn judge(
+    mgp_converged: bool,
+    mgp_iterations: usize,
+    legalization_error: Option<&str>,
+    legality_error: Option<&str>,
+) -> Verdict {
+    let warning = (!mgp_converged).then(|| {
+        format!(
+            "mGP stopped after {mgp_iterations} iterations without reaching its \
+             overflow target; the legalizer started from an unconverged placement"
+        )
+    });
+    let failure = match (legalization_error, legality_error) {
+        (Some(e), _) => Some(format!("legalization failed: {e}")),
+        (None, Some(e)) => Some(format!("placement is not legal: {e}")),
+        (None, None) => None,
+    };
+    Verdict { warning, failure }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn legal_converged_run_succeeds_quietly() {
+        let v = judge(true, 300, None, None);
+        assert_eq!(
+            v,
+            Verdict {
+                warning: None,
+                failure: None
+            }
+        );
+    }
+
+    #[test]
+    fn illegal_run_fails() {
+        let v = judge(true, 300, Some("row overflow"), None);
+        assert!(v.failure.unwrap().contains("row overflow"));
+        let v = judge(true, 300, None, Some("cells 3 and 7 overlap"));
+        assert!(v.failure.unwrap().contains("cells 3 and 7 overlap"));
+        assert!(v.warning.is_none());
+    }
+
+    #[test]
+    fn unconverged_run_warns_but_succeeds_when_legal() {
+        let v = judge(false, 500, None, None);
+        assert!(v.failure.is_none());
+        assert!(v.warning.unwrap().contains("500 iterations"));
+        let v = judge(false, 500, Some("no room"), None);
+        assert!(v.warning.is_some() && v.failure.is_some());
+    }
 }

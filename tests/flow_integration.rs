@@ -1,7 +1,8 @@
 //! End-to-end integration tests across crates: generator → flow → legality.
 
 use eplace_repro::benchgen::BenchmarkConfig;
-use eplace_repro::core::{EplaceConfig, Placer, Stage};
+use eplace_repro::core::{insert_fillers, EplaceConfig, PlacementProblem, Placer, Stage};
+use eplace_repro::density::grid_dimension;
 use eplace_repro::legalize::check_legal;
 use eplace_repro::netlist::CellKind;
 
@@ -109,4 +110,58 @@ fn trace_is_structurally_sound() {
     }
     // Overflow at the end is below the overflow at the start.
     assert!(mgp.last().unwrap().overflow < mgp.first().unwrap().overflow);
+}
+
+#[test]
+fn flow_is_thread_count_invariant_where_every_parallel_branch_runs() {
+    // Large enough that inside `Placer::run` the density deposit, the WA
+    // pass and the Poisson solve all split their work: more than 4,096
+    // movables plus fillers give the 128² grid, and the object and net
+    // counts span several deposit and WA chunks. The run still goes through
+    // mLG, the filler phase and cGP; the iteration cap keeps debug builds
+    // quick.
+    let design = || {
+        BenchmarkConfig::mms_like("it_threads", 506, 1.0, 6)
+            .scale(2200)
+            .generate()
+    };
+    let cfg = |threads: usize| EplaceConfig {
+        threads,
+        max_iterations: 30,
+        ..EplaceConfig::fast()
+    };
+    let mut with_fillers = design();
+    insert_fillers(&mut with_fillers, cfg(1).seed);
+    let objects = PlacementProblem::all_movables(&with_fillers).len();
+    assert!(objects > 4096, "{objects} movables plus fillers");
+    assert_eq!(
+        grid_dimension(objects, cfg(1).grid_min, cfg(1).grid_max),
+        128
+    );
+    assert!(
+        with_fillers.nets.len() > 2 * 256,
+        "{} nets",
+        with_fillers.nets.len()
+    );
+
+    let run = |threads: usize| {
+        let mut placer = Placer::new(design(), cfg(threads));
+        let report = placer.run().unwrap();
+        let stages: std::collections::HashSet<_> = report.trace.iter().map(|r| r.stage).collect();
+        assert!(stages.contains(&Stage::FillerOnly) && stages.contains(&Stage::Cgp));
+        assert!(report.mlg.is_some(), "mLG must run");
+        let trace: Vec<_> = report
+            .trace
+            .iter()
+            .map(|r| (r.hpwl.to_bits(), r.overflow.to_bits(), r.lambda.to_bits()))
+            .collect();
+        (trace, report.final_hpwl.to_bits())
+    };
+    let two = run(2);
+    for threads in [3, 8] {
+        assert!(
+            run(threads) == two,
+            "threads {threads} moved the trajectory"
+        );
+    }
 }
