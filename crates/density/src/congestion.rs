@@ -46,7 +46,7 @@ impl CongestionMap {
 
     /// Builds the RUDY map with the positions of `movable` cells overridden
     /// by `positions` (parallel slices) — the form the global-placement loop
-    /// uses, where the optimizer's in-flight solution has not yet been
+    /// journals, where the optimizer's in-flight solution has not yet been
     /// committed to the design.
     ///
     /// # Panics

@@ -514,7 +514,7 @@ impl DensityGrid {
     /// Panics if [`DensityGrid::solve`] has not run since the last deposit.
     pub fn gradient(&self, obj: &DensityObject, p: Point) -> Point {
         assert!(self.solved, "gradient requested before solve");
-        let (gx, gy, _) = self.sample(obj, p);
+        let [gx, gy] = self.sample(obj, p, [&self.field_x, &self.field_y]);
         Point::new(2.0 * gx, 2.0 * gy)
     }
 
@@ -525,7 +525,7 @@ impl DensityGrid {
     /// Panics if [`DensityGrid::solve`] has not run since the last deposit.
     pub fn energy(&self, obj: &DensityObject, p: Point) -> f64 {
         assert!(self.solved, "energy requested before solve");
-        let (_, _, e) = self.sample(obj, p);
+        let [e] = self.sample(obj, p, [&self.potential]);
         e
     }
 
@@ -546,19 +546,18 @@ impl DensityGrid {
             .sum()
     }
 
-    /// Charge-weighted field/potential sample over the object footprint:
-    /// returns `(Σ o_b·ξx_b, Σ o_b·ξy_b, Σ o_b·ψ_b)`.
-    fn sample(&self, obj: &DensityObject, p: Point) -> (f64, f64, f64) {
+    /// Charge-weighted samples of `maps` over the object footprint: returns
+    /// `Σ o_b·map_b` for each map, so the gradient reads only the two field
+    /// maps and the energy only ψ.
+    fn sample<const N: usize>(&self, obj: &DensityObject, p: Point, maps: [&[f64]; N]) -> [f64; N] {
+        let mut sums = [0.0; N];
         let (rect, scale) = self.smoothed_footprint(obj, p);
         let clipped = match rect.intersection(&self.region) {
             Some(r) => r,
-            None => return (0.0, 0.0, 0.0),
+            None => return sums,
         };
         let (ix0, ix1) = self.bin_range_x(clipped.xl, clipped.xh);
         let (iy0, iy1) = self.bin_range_y(clipped.yl, clipped.yh);
-        let mut gx = 0.0;
-        let mut gy = 0.0;
-        let mut energy = 0.0;
         for iy in iy0..iy1 {
             let (byl, byh) = self.bin_span_y(iy);
             let oy = overlap_1d(clipped.yl, clipped.yh, byl, byh);
@@ -567,12 +566,12 @@ impl DensityGrid {
                 let ox = overlap_1d(clipped.xl, clipped.xh, bxl, bxh);
                 let o = ox * oy * scale;
                 let idx = iy * self.nx + ix;
-                gx += o * self.field_x[idx];
-                gy += o * self.field_y[idx];
-                energy += o * self.potential[idx];
+                for (sum, map) in sums.iter_mut().zip(maps) {
+                    *sum += o * map[idx];
+                }
             }
         }
-        (gx, gy, energy)
+        sums
     }
 
     /// Density overflow `τ`: the fraction of movable area sitting above the

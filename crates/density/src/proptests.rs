@@ -252,8 +252,8 @@ fn rudy_clips_at_region_edges_without_losing_finiteness() {
 #[test]
 fn rudy_with_identity_positions_matches_rudy() {
     check("rudy_with_identity_positions_matches_rudy", CASES, |g| {
-        // The position-override constructor used by the in-loop gauges must
-        // agree bit-for-bit with the plain one when fed the design's own
+        // The position-override constructor behind the journal's per-
+        // iteration congestion must agree bit-for-bit with the plain one when fed the design's own
         // positions.
         let d = arb_congestion_design(g);
         let movable: Vec<usize> = (0..d.cells.len()).collect();

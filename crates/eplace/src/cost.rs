@@ -27,10 +27,6 @@ pub struct EplaceCost<'a> {
     pub gamma: f64,
     /// Density overflow τ at the last gradient evaluation.
     pub last_overflow: f64,
-    /// Total potential energy N(v) at the last evaluation.
-    pub last_energy: f64,
-    /// Smooth wirelength W̃(v) at the last evaluation.
-    pub last_smooth_wl: f64,
     precondition: bool,
     full_pos: Vec<Point>,
     full_grad: Vec<Point>,
@@ -68,8 +64,6 @@ impl<'a> EplaceCost<'a> {
             lambda: 0.0,
             gamma: schedule.gamma(1.0),
             last_overflow: 1.0,
-            last_energy: 0.0,
-            last_smooth_wl: 0.0,
             precondition,
             full_pos,
             full_grad: vec![Point::ORIGIN; n],
@@ -135,9 +129,8 @@ impl<'a> EplaceCost<'a> {
         // Evaluate both raw gradients once, reusing the owned full-design
         // gradient buffer (the WA model zeroes it before accumulating).
         self.sync_full(pos);
-        self.last_smooth_wl =
-            self.wa
-                .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
+        self.wa
+            .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
         self.last_overflow = self.grid.overflow();
@@ -198,10 +191,9 @@ impl<'a> EplaceCost<'a> {
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
         self.last_overflow = self.grid.overflow();
-        self.last_energy = self.grid.total_energy();
+        let energy = self.grid.total_energy();
         self.sync_full(pos);
-        self.last_smooth_wl = self.wa.evaluate(self.design, &self.full_pos, self.gamma);
-        self.last_smooth_wl + self.lambda * self.last_energy
+        self.wa.evaluate(self.design, &self.full_pos, self.gamma) + self.lambda * energy
     }
 
     /// Exact HPWL at a movable-solution `pos` (fixed cells at their design
@@ -232,13 +224,11 @@ impl Gradient for EplaceCost<'_> {
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
         self.last_overflow = self.grid.overflow();
-        self.last_energy = self.grid.total_energy();
 
         // Wirelength (29 %).
         self.sync_full(pos);
-        self.last_smooth_wl =
-            self.wa
-                .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
+        self.wa
+            .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
 
         // Combine + precondition. Field sampling is physically part of the
         // density component, so Figure 7 books this span there.

@@ -5,11 +5,11 @@ use crate::{EplaceConfig, NesterovOptimizer, PlacementProblem};
 use eplace_density::{grid_dimension, CongestionMap};
 use eplace_errors::{DivergenceReport, EplaceError, Severity, ValidationIssue};
 use eplace_netlist::Design;
-use eplace_obs::{Record, BACKTRACK_EDGES};
+use eplace_obs::Record;
 
-/// Grid dimension of the per-iteration RUDY congestion gauges (observability
-/// only — never fed back into the optimizer).
-const RUDY_GAUGE_DIM: usize = 16;
+/// Grid dimension of the RUDY congestion map behind each journaled `iter`
+/// line (observability only — never fed back into the optimizer).
+const RUDY_JOURNAL_DIM: usize = 16;
 
 /// Iterations between rollback checkpoints of the guarded loop (the
 /// pre-loop state is always kept).
@@ -337,7 +337,7 @@ fn run_guarded(
             iter = ck.iteration;
             continue;
         }
-        trace.push(IterationRecord {
+        let record = IterationRecord {
             stage,
             iteration: iter,
             hpwl,
@@ -347,49 +347,36 @@ fn run_guarded(
             gamma: cost.gamma,
             alpha: info.alpha,
             backtracks: info.backtracks,
-        });
-        if obs.is_enabled() {
-            obs.add(iter_counter(stage), 1);
-            obs.set_gauge("hpwl", hpwl);
-            obs.set_gauge("overflow", overflow);
-            obs.set_gauge("alpha", info.alpha);
-            obs.set_gauge("lambda", cost.lambda);
-            obs.set_gauge("gamma", cost.gamma);
-            // RUDY congestion of the in-flight placement (read-only: the
-            // map is built from the optimizer's solution and never feeds
-            // back, so obs-on trajectories stay bit-identical to obs-off).
+        };
+        obs.add(iter_counter(stage), 1);
+        if obs.journal_active() {
+            // RUDY congestion of the in-flight placement, built only for
+            // the journal: it is read from the optimizer's solution and
+            // never fed back, so journaled trajectories stay bit-identical
+            // to journal-free ones.
             let rudy = CongestionMap::rudy_with_positions(
                 design,
-                RUDY_GAUGE_DIM,
-                RUDY_GAUGE_DIM,
+                RUDY_JOURNAL_DIM,
+                RUDY_JOURNAL_DIM,
                 1.0,
                 &problem.movable,
                 optimizer.solution(),
             );
-            let (rudy_peak, rudy_mean) = (rudy.peak(), rudy.mean());
-            obs.set_gauge("congestion_peak", rudy_peak);
-            obs.set_gauge("congestion_mean", rudy_mean);
-            obs.observe(
-                "backtracks_per_iter",
-                BACKTRACK_EDGES,
-                info.backtracks as f64,
+            obs.journal(
+                Record::new("iter")
+                    .str_field("stage", record.stage.key())
+                    .u64_field("iter", record.iteration as u64)
+                    .f64_field("hpwl", record.hpwl)
+                    .f64_field("overflow", record.overflow)
+                    .f64_field("alpha", record.alpha)
+                    .f64_field("lambda", record.lambda)
+                    .f64_field("gamma", record.gamma)
+                    .f64_field("rudy_peak", rudy.peak())
+                    .f64_field("rudy_mean", rudy.mean())
+                    .u64_field("backtracks", record.backtracks as u64),
             );
-            if obs.journal_active() {
-                obs.journal(
-                    Record::new("iter")
-                        .str_field("stage", stage.key())
-                        .u64_field("iter", iter as u64)
-                        .f64_field("hpwl", hpwl)
-                        .f64_field("overflow", overflow)
-                        .f64_field("alpha", info.alpha)
-                        .f64_field("lambda", cost.lambda)
-                        .f64_field("gamma", cost.gamma)
-                        .f64_field("rudy_peak", rudy_peak)
-                        .f64_field("rudy_mean", rudy_mean)
-                        .u64_field("backtracks", info.backtracks as u64),
-                );
-            }
         }
+        trace.push(record);
         // Best-solution snapshot: when the overflow stops improving (the
         // grid's noise floor on small instances, or a diverging run), λ
         // keeps ratcheting and wirelength degrades without bound — keep the

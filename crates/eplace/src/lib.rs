@@ -136,11 +136,13 @@ pub struct EplaceConfig {
     /// trajectory is bit-identical to the unguarded loop.
     pub fault: Option<GradientFault>,
     /// Observability recorder threaded through every stage and kernel
-    /// ([`eplace_obs`]). The disabled default costs one branch per
-    /// instrumentation point and records nothing; an enabled recorder
-    /// gathers spans/metrics (and journal lines, if it carries a sink)
-    /// without ever feeding back into the numerics — traces stay
-    /// bit-identical either way.
+    /// ([`eplace_obs`]). [`Placer::run`] upgrades the disabled default to
+    /// a metrics-only recorder, so every flow records spans and counters
+    /// (they fill [`PlacementReport::phase_times`] and
+    /// `iterations_per_stage`); attach a sink to also get journal lines.
+    /// Code that drives the stages directly with the disabled default
+    /// records nothing. No recorder ever feeds back into the numerics —
+    /// traces stay bit-identical either way.
     pub obs: Obs,
     /// Routability mode (the paper §VIII's "extension towards
     /// routability"): after global placement, route the design with the

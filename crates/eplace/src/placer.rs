@@ -246,24 +246,19 @@ impl Placer {
             Ok(r) => {
                 obs.add("legalize_runs", 1);
                 obs.add("legalize_cells_placed", r.placed as u64);
-                obs.set_gauge("legalize_total_displacement", r.total_displacement);
-                obs.set_gauge("legalize_max_displacement", r.max_displacement);
                 (Some(r), None)
             }
             Err(e) => (None, Some(e.to_string())),
         };
         let detail_gain = if legal.is_some() {
             let detail = |design: &mut Design, passes: usize| {
-                let gain = spanned(&obs, "detail_place", || detail_place(design, passes));
-                obs.set_gauge("detail_place_gain", gain);
-                gain
+                spanned(&obs, "detail_place", || detail_place(design, passes))
             };
             // In-row refinement, then the cross-row global-swap pass.
             let refined = detail(design, cfg.detail_passes);
             let swapped = spanned(&obs, "global_swap", || {
                 global_swap(design, cfg.detail_passes)
             });
-            obs.set_gauge("global_swap_gain", swapped);
             refined + swapped + detail(design, 1)
         } else {
             0.0

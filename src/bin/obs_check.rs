@@ -1,10 +1,13 @@
 //! `obs_check` — validates an ePlace run journal or job ledger (JSONL).
 //!
 //! Journal mode (default) checks that every line parses as JSON, that
-//! `iter` records carry the full finite metric set, that `recovery` records
-//! name a stage and reason, and that the journal ends with exactly one
-//! `summary` record whose phase seconds are consistent with its total. CI
-//! runs this over the journal produced by a `--journal` run.
+//! `iter` records carry the full finite metric set (including the
+//! `rudy_peak`/`rudy_mean` congestion of the in-flight placement), that
+//! `recovery` records name a stage and reason, that `route` records of a
+//! `--routability` run carry a finite scorecard, and that the journal ends
+//! with exactly one `summary` record whose phase seconds are consistent
+//! with its total. CI runs this over the journal produced by a `--journal`
+//! run.
 //!
 //! `--ledger` mode validates an `eplace-serve` job ledger instead: globally
 //! strictly-increasing sequence numbers, every per-job event stream obeying
@@ -23,6 +26,7 @@
 use eplace_repro::obs::json::{parse_json, JsonValue};
 use std::process::ExitCode;
 
+#[derive(Debug)]
 struct Stats {
     iters: u64,
     recoveries: u64,
@@ -73,7 +77,10 @@ fn main() -> ExitCode {
             }
         };
     }
-    match check(&path, expect_iters) {
+    let checked = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read: {e}"))
+        .and_then(|text| check(&text, expect_iters));
+    match checked {
         Ok(stats) => {
             println!(
                 "{path}: OK — {} iter records, {} recoveries, {} phases, {:.3}s total",
@@ -200,8 +207,8 @@ fn check_ledger(path: &str) -> Result<String, String> {
     ))
 }
 
-fn check(path: &str, expect_iters: Option<u64>) -> Result<Stats, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+/// Validates the journal `text` (one JSON record per line).
+fn check(text: &str, expect_iters: Option<u64>) -> Result<Stats, String> {
     let mut stats = Stats {
         iters: 0,
         recoveries: 0,
@@ -219,10 +226,24 @@ fn check(path: &str, expect_iters: Option<u64>) -> Result<Stats, String> {
                 str_field(&value, "stage", no)?;
                 u64_field(&value, "iter", no)?;
                 u64_field(&value, "backtracks", no)?;
-                for key in ["hpwl", "overflow", "alpha", "lambda", "gamma"] {
+                for key in [
+                    "hpwl",
+                    "overflow",
+                    "alpha",
+                    "lambda",
+                    "gamma",
+                    "rudy_peak",
+                    "rudy_mean",
+                ] {
                     finite_field(&value, key, no)?;
                 }
                 stats.iters += 1;
+            }
+            "route" => {
+                u64_field(&value, "round", no)?;
+                for key in ["routed_wl", "total_overflow", "peak_congestion"] {
+                    finite_field(&value, key, no)?;
+                }
             }
             "recovery" => {
                 str_field(&value, "stage", no)?;
@@ -297,4 +318,88 @@ fn finite_field(value: &JsonValue, key: &str, no: usize) -> Result<f64, String> 
         .and_then(JsonValue::as_f64)
         .filter(|v| v.is_finite())
         .ok_or_else(|| format!("line {no}: missing finite number field `{key}`"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check;
+
+    const SUMMARY: &str = r#"{"type":"summary","root":"flow","total_seconds":1.0,"phases":[{"name":"mip","calls":1,"seconds":0.25},{"name":"mgp","calls":1,"seconds":0.5}]}"#;
+
+    fn iter_line(i: u64, hpwl: &str) -> String {
+        format!(
+            r#"{{"type":"iter","stage":"mgp","iter":{i},"hpwl":{hpwl},"overflow":0.5,"alpha":2.0,"lambda":0.1,"gamma":30.0,"rudy_peak":1.5,"rudy_mean":0.25,"backtracks":1}}"#
+        )
+    }
+
+    fn journal(lines: &[String]) -> String {
+        lines.join("\n")
+    }
+
+    #[test]
+    fn valid_journal_passes() {
+        let text = journal(&[iter_line(0, "100.0"), iter_line(1, "90.0"), SUMMARY.into()]);
+        let stats = check(&text, Some(2)).unwrap();
+        assert_eq!((stats.iters, stats.recoveries, stats.phases), (2, 0, 2));
+        assert_eq!(stats.total_seconds, 1.0);
+        assert!(check(&text, None).is_ok());
+    }
+
+    #[test]
+    fn iter_line_missing_gamma_fails() {
+        let line = iter_line(0, "100.0").replace(r#""gamma":30.0,"#, "");
+        let err = check(&journal(&[line, SUMMARY.into()]), None).unwrap_err();
+        assert!(err.contains("line 1") && err.contains("`gamma`"), "{err}");
+    }
+
+    #[test]
+    fn iter_line_missing_rudy_fails() {
+        for key in ["rudy_peak", "rudy_mean"] {
+            let line = iter_line(0, "100.0").replace(&format!(r#""{key}":"#), r#""other":"#);
+            let err = check(&journal(&[line, SUMMARY.into()]), None).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn route_records_need_a_finite_scorecard() {
+        let route = r#"{"type":"route","round":0,"segments":9,"rerouted":2,"overflowed_bins":1,"routed_wl":500.0,"total_overflow":3.5,"peak_congestion":1.25}"#;
+        let text = journal(&[iter_line(0, "100.0"), route.into(), SUMMARY.into()]);
+        assert_eq!(check(&text, Some(1)).unwrap().iters, 1);
+        let bad = route.replace("3.5", "null");
+        let err = check(&journal(&[bad, SUMMARY.into()]), None).unwrap_err();
+        assert!(err.contains("`total_overflow`"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_hpwl_fails() {
+        // The journal writer emits `null` for a non-finite float.
+        let text = journal(&[iter_line(0, "null"), SUMMARY.into()]);
+        let err = check(&text, None).unwrap_err();
+        assert!(err.contains("line 1") && err.contains("`hpwl`"), "{err}");
+    }
+
+    #[test]
+    fn summary_must_appear_exactly_once() {
+        let none = journal(&[iter_line(0, "100.0")]);
+        let err = check(&none, None).unwrap_err();
+        assert!(err.contains("found 0"), "{err}");
+        let two = journal(&[iter_line(0, "100.0"), SUMMARY.into(), SUMMARY.into()]);
+        let err = check(&two, None).unwrap_err();
+        assert!(err.contains("found 2"), "{err}");
+    }
+
+    #[test]
+    fn phase_seconds_above_total_fail() {
+        let summary = SUMMARY.replace(r#""seconds":0.5"#, r#""seconds":0.9"#);
+        let err = check(&journal(&[iter_line(0, "100.0"), summary]), None).unwrap_err();
+        assert!(err.contains("exceed total"), "{err}");
+    }
+
+    #[test]
+    fn expect_iters_mismatch_fails() {
+        let text = journal(&[iter_line(0, "100.0"), iter_line(1, "90.0"), SUMMARY.into()]);
+        let err = check(&text, Some(3)).unwrap_err();
+        assert!(err.contains("expected 3 iter records, found 2"), "{err}");
+    }
 }
