@@ -13,9 +13,10 @@
 //!
 //! All implement [`GlobalPlacer`]: they take a design and produce a *global*
 //! placement (overlap mostly resolved, nothing legalized); the benchmark
-//! harness runs the identical downstream flow (mLG/cDP) on every placer so
-//! the tables compare the global-placement algorithms, as the contest
-//! protocol does.
+//! harness finishes every placer with the ePlace flow's own mLG and cDP
+//! stages (`eplace_core::{macro_legalization, detail_placement}`), so the
+//! tables compare the global-placement algorithms, as the contest protocol
+//! does.
 //!
 //! # Examples
 //!
@@ -40,7 +41,7 @@ pub use cg::CgPlacer;
 pub use mincut::MincutPlacer;
 pub use quadratic::QuadraticPlacer;
 
-use eplace_density::{grid_dimension, DensityGrid, DensityObject};
+use eplace_density::layout_overflow;
 use eplace_netlist::Design;
 
 /// Outcome of one global placement run.
@@ -69,26 +70,11 @@ pub trait GlobalPlacer {
     fn global_place(&self, design: &mut Design) -> GpResult;
 }
 
-/// The shared overflow oracle: τ of the current (filler-free) layout on the
-/// standard grid policy, identical for every placer so the tables' density
-/// columns are comparable.
+/// The shared overflow oracle: τ of the current (filler-free) layout on a
+/// grid pinned to 16..512 bins per side, identical for every placer so the
+/// baselines' stopping rules and the tables' density columns are comparable.
 pub fn measure_overflow(design: &Design) -> f64 {
-    let movables: Vec<usize> = design.movable_indices().collect();
-    if movables.is_empty() {
-        return 0.0;
-    }
-    let dim = grid_dimension(movables.len(), 16, 512);
-    let mut grid = DensityGrid::new(design.region, dim, dim, design.target_density);
-    for c in design.cells.iter().filter(|c| c.fixed) {
-        grid.add_fixed(c.rect());
-    }
-    let objects: Vec<DensityObject> = movables
-        .iter()
-        .map(|&i| DensityObject::movable(design.cells[i].size))
-        .collect();
-    let pos: Vec<_> = movables.iter().map(|&i| design.cells[i].pos).collect();
-    grid.deposit(&objects, &pos);
-    grid.overflow()
+    layout_overflow(design, 16, 512)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ fn main() {
     let config = BenchmarkConfig::ispd05_like("adaptec1_like", 1_000).scale(400);
     let eplace_cfg = EplaceConfig::fast();
     println!("table1_runtime");
-    bench("ePlace", 10, || run_eplace(&config, &eplace_cfg));
+    bench("ePlace", 10, || run_eplace(&config, &eplace_cfg).0);
     for placer in all_baselines() {
         bench(placer.name(), 10, || {
             run_baseline(placer.as_ref(), &config, &eplace_cfg)

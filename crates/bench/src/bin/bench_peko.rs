@@ -7,9 +7,9 @@
 //! suboptimality ratio `final legal HPWL / certified optimal HPWL` per
 //! placer and suite size into `BENCH_peko.json` at the repository root.
 //!
-//! Every placer gets the identical downstream treatment (Abacus
-//! legalization + detail passes, exactly what the ePlace flow's cDP runs),
-//! so the ratios compare global-placement quality on equal footing.
+//! Every baseline finishes through the ePlace flow's own mLG and cDP stages
+//! (`eplace_bench::run_baseline`), so the ratios compare global-placement
+//! quality on equal footing by construction.
 //!
 //! The file is re-parsed with the journal's own JSON reader before the
 //! program exits 0, and every recorded ratio is checked to be finite and
@@ -26,13 +26,11 @@
 //! default 3), `--out PATH` (output path override).
 
 use eplace_baselines::{CgPlacer, GlobalPlacer, MincutPlacer};
+use eplace_bench::{run_baseline, run_eplace};
 use eplace_benchgen::{BenchmarkConfig, KnownOptimum};
-use eplace_core::{EplaceConfig, Placer};
-use eplace_legalize::{detail_place, global_swap, legalize, legalize_abacus};
-use eplace_netlist::Design;
+use eplace_core::EplaceConfig;
 use eplace_obs::json::{parse_json, JsonValue};
 use eplace_obs::Record;
-use std::time::Instant;
 
 const SUITE_SIZES: &[usize] = &[240, 600, 1_500];
 const BASE_SEED: u64 = 9_000;
@@ -68,18 +66,6 @@ fn parse_args() -> Options {
     opts
 }
 
-/// The shared downstream finisher: the same legalization + detail stack the
-/// ePlace flow's cDP applies, with the Tetris fallback on Abacus failure.
-fn finish_legal(design: &mut Design) -> f64 {
-    if legalize_abacus(design).is_err() {
-        legalize(design).expect("even Tetris failed to legalize a half-utilization PEKO design");
-    }
-    detail_place(design, 1);
-    global_swap(design, 1);
-    detail_place(design, 1);
-    design.hpwl()
-}
-
 /// One placer's JSON fragment: `"name":{"hpwl":…,"ratio":…,"seconds":…}`.
 fn placer_json(name: &str, hpwl: f64, optimum: &KnownOptimum, seconds: f64) -> String {
     format!(
@@ -90,42 +76,30 @@ fn placer_json(name: &str, hpwl: f64, optimum: &KnownOptimum, seconds: f64) -> S
 
 fn bench_suite(cells: usize, seed: u64) -> String {
     let config = BenchmarkConfig::peko_like(format!("peko{cells}"), seed).scale(cells);
-    let (design, optimum) = config.generate_known_optimum();
-
-    // ePlace: the full flow, which legalizes internally.
-    let t = Instant::now();
+    let (_, optimum) = config.generate_known_optimum();
     let eplace_cfg = EplaceConfig {
         known_optimum_hpwl: Some(optimum.hpwl),
         ..EplaceConfig::fast()
     };
-    let mut placer = Placer::new(design, eplace_cfg);
-    let report = placer.run().expect("ePlace flow failed on a PEKO suite");
-    let eplace_secs = t.elapsed().as_secs_f64();
-    let eplace_hpwl = report.final_hpwl;
+
+    // ePlace: the full flow.
+    let (eplace, report) = run_eplace(&config, &eplace_cfg);
     assert_eq!(
         report.suboptimality_ratio,
-        Some(optimum.ratio(eplace_hpwl)),
+        Some(optimum.ratio(eplace.hpwl)),
         "report ratio must agree with the certificate"
     );
 
-    // Baselines: global placement + the identical downstream finisher.
+    // Baselines: global placement, then the flow's own mLG and cDP stages.
     let baselines: [Box<dyn GlobalPlacer>; 2] = [
         Box::new(CgPlacer::default()),
         Box::new(MincutPlacer::default()),
     ];
-    let mut fragments = vec![placer_json("eplace", eplace_hpwl, &optimum, eplace_secs)];
+    let mut fragments = vec![placer_json("eplace", eplace.hpwl, &optimum, eplace.seconds)];
     for placer in baselines {
-        let (mut design, _) = config.generate_known_optimum();
-        let t = Instant::now();
-        placer.global_place(&mut design);
-        design.remove_fillers();
-        let hpwl = finish_legal(&mut design);
-        fragments.push(placer_json(
-            placer.name(),
-            hpwl,
-            &optimum,
-            t.elapsed().as_secs_f64(),
-        ));
+        let row = run_baseline(placer.as_ref(), &config, &eplace_cfg);
+        assert!(row.ok, "{} failed to legalize a PEKO design", row.placer);
+        fragments.push(placer_json(placer.name(), row.hpwl, &optimum, row.seconds));
     }
 
     Record::new("suite")

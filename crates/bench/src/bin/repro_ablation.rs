@@ -66,28 +66,20 @@ fn main() {
     let suite: Vec<BenchmarkConfig> = BenchmarkSuite::mms(scale).into_iter().take(take).collect();
     let base = EplaceConfig::fast();
 
-    // Reference runs with everything enabled.
+    // Reference runs with everything enabled, which also give the
+    // backtracks-per-iteration statistic (paper: 1.037).
     eprintln!("reference runs ({} circuits)...", suite.len());
-    let reference: Vec<_> = suite
-        .iter()
-        .map(|c| {
-            eprintln!("  {} ...", c.name);
-            (c.name.clone(), run_eplace(c, &base))
-        })
-        .collect();
-    // Backtracks-per-iteration statistic (paper: 1.037).
+    let mut reference = Vec::new();
     let mut bk_sum = 0.0;
-    let mut bk_n = 0;
-    for config in &suite {
-        let design = config.generate();
-        let mut placer = eplace_core::Placer::new(design, base.clone());
-        let report = placer.run().expect("placement diverged beyond recovery");
+    for c in &suite {
+        eprintln!("  {} ...", c.name);
+        let (row, report) = run_eplace(c, &base);
         bk_sum += report.mgp_backtracks_per_iteration;
-        bk_n += 1;
+        reference.push((c.name.clone(), row));
     }
     println!(
         "backtracks_per_iteration,{:.3}  (paper: 1.037)",
-        bk_sum / bk_n as f64
+        bk_sum / suite.len() as f64
     );
 
     println!("ablation,circuit,hpwl_full,hpwl_ablated,delta_pct,failed");
@@ -101,7 +93,7 @@ fn main() {
         let mut failures = 0;
         for (config, (name, full)) in suite.iter().zip(&reference) {
             eprintln!("  {} ...", name);
-            let ablated = run_eplace(config, &cfg);
+            let ablated = run_eplace(config, &cfg).0;
             let failed = !ablated.ok;
             if failed {
                 failures += 1;

@@ -23,7 +23,7 @@ fn main() {
     println!("variant,hpwl,overflow,seconds");
     let run = |name: &str, cfg: &EplaceConfig| {
         eprintln!("  {name} ...");
-        let r = run_eplace(&config, cfg);
+        let (r, _) = run_eplace(&config, cfg);
         println!("{name},{:.4e},{:.4},{:.2}", r.hpwl, r.overflow, r.seconds);
     };
 

@@ -4,7 +4,7 @@
 //!
 //! Usage: `repro_fig2 [--scale N]`
 
-use eplace_bench::{design_after_full_flow, parse_args};
+use eplace_bench::{parse_args, run_eplace};
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::{trace_to_csv, EplaceConfig, Stage};
 
@@ -12,7 +12,7 @@ fn main() {
     let (scale, _, _) = parse_args(400);
     let config = BenchmarkConfig::mms_like("adaptec1_mms", 3_000, 1.0, 12).scale(scale);
     eprintln!("Figure 2 reproduction on {} ({} cells)", config.name, scale);
-    let (_, report) = design_after_full_flow(&config, &EplaceConfig::fast());
+    let (_, report) = run_eplace(&config, &EplaceConfig::fast());
     print!("{}", trace_to_csv(&report.trace));
     // Stage summary (the figure's annotated phases).
     for stage in [Stage::Mgp, Stage::FillerOnly, Stage::Cgp] {

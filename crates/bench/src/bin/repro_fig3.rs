@@ -3,7 +3,7 @@
 //!
 //! Usage: `repro_fig3 [--scale N] [--snapshots K]`
 
-use eplace_bench::{design_after_full_flow, parse_args};
+use eplace_bench::{parse_args, run_eplace};
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::{EplaceConfig, Stage};
 
@@ -16,7 +16,7 @@ fn main() {
         .unwrap_or(6);
     let config = BenchmarkConfig::mms_like("adaptec1_mms", 3_000, 1.0, 12).scale(scale);
     eprintln!("Figure 3 reproduction on {}", config.name);
-    let (_, report) = design_after_full_flow(&config, &EplaceConfig::fast());
+    let (_, report) = run_eplace(&config, &EplaceConfig::fast());
     let mgp: Vec<_> = report
         .trace
         .iter()

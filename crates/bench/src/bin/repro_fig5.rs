@@ -3,7 +3,7 @@
 //!
 //! Usage: `repro_fig5 [--scale N]`
 
-use eplace_bench::{design_after_full_flow, parse_args};
+use eplace_bench::{parse_args, run_eplace};
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::EplaceConfig;
 
@@ -11,7 +11,7 @@ fn main() {
     let (scale, _, _) = parse_args(400);
     let config = BenchmarkConfig::mms_like("adaptec1_mms", 3_000, 1.0, 12).scale(scale);
     eprintln!("Figure 5 reproduction on {}", config.name);
-    let (_, report) = design_after_full_flow(&config, &EplaceConfig::fast());
+    let (_, report) = run_eplace(&config, &EplaceConfig::fast());
     let mlg = report.mlg.expect("mixed-size flow runs mLG");
     println!("phase,W,D,Om");
     println!(

@@ -10,7 +10,7 @@
 //!
 //! Usage: `repro_fig7 [--scale N] [--circuits K]`
 
-use eplace_bench::{design_after_full_flow, parse_args};
+use eplace_bench::{parse_args, run_eplace};
 use eplace_benchgen::BenchmarkSuite;
 use eplace_core::{EplaceConfig, Obs, Stage};
 use eplace_obs::Snapshot;
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
     };
     for config in &suite {
         eprintln!("  {} ...", config.name);
-        design_after_full_flow(config, &cfg);
+        run_eplace(config, &cfg);
     }
     let snap = obs.snapshot();
     let seconds = |path: &str| snap.span(path).map_or(0.0, |s| s.seconds());

@@ -11,10 +11,8 @@ use eplace_baselines::{
     measure_overflow, BellshapePlacer, CgPlacer, GlobalPlacer, MincutPlacer, QuadraticPlacer,
 };
 use eplace_benchgen::BenchmarkConfig;
-use eplace_core::{EplaceConfig, Placer};
-use eplace_legalize::{detail_place, legalize, legalize_abacus};
-use eplace_mlg::legalize_macros;
-use eplace_netlist::{CellKind, Design};
+use eplace_core::{detail_placement, macro_legalization, EplaceConfig, PlacementReport, Placer};
+use eplace_density::scaled_hpwl;
 use std::time::Instant;
 
 /// One placer's outcome on one circuit, with everything the tables report.
@@ -39,29 +37,34 @@ pub struct FlowResult {
     pub ok: bool,
 }
 
-/// Runs the full ePlace flow on a fresh copy of `config`'s circuit.
-pub fn run_eplace(config: &BenchmarkConfig, eplace_cfg: &EplaceConfig) -> FlowResult {
+/// Runs the full ePlace flow on a fresh copy of `config`'s circuit and
+/// returns its table row plus the flow's report (trace, phase times, mLG
+/// and cDP outcomes) for the figure binaries.
+pub fn run_eplace(
+    config: &BenchmarkConfig,
+    eplace_cfg: &EplaceConfig,
+) -> (FlowResult, PlacementReport) {
     let design = config.generate();
     let t = Instant::now();
-    let mut placer = Placer::new(design, eplace_cfg.clone());
-    let report = placer.run().expect("placement diverged beyond recovery");
-    let seconds = t.elapsed().as_secs_f64();
-    FlowResult {
+    let report = Placer::new(design, eplace_cfg.clone())
+        .run()
+        .expect("placement diverged beyond recovery");
+    let row = FlowResult {
         placer: "ePlace".into(),
         circuit: config.name.clone(),
         hpwl: report.final_hpwl,
         scaled_hpwl: report.scaled_hpwl,
         overflow: report.final_overflow,
-        seconds,
+        seconds: t.elapsed().as_secs_f64(),
         line_search_seconds: 0.0,
         ok: report.legalization.is_some(),
-    }
+    };
+    (row, report)
 }
 
-/// Runs a baseline global placer followed by the *same* discrete finish
-/// ePlace uses (mLG when macros are movable, then legalization + detail
-/// placement), so the table rows compare global-placement algorithms under
-/// one protocol.
+/// Runs a baseline global placer followed by the ePlace flow's own discrete
+/// stages ([`macro_legalization`], then [`detail_placement`]), so the table
+/// rows compare global-placement algorithms under one protocol.
 pub fn run_baseline(
     placer: &dyn GlobalPlacer,
     config: &BenchmarkConfig,
@@ -70,38 +73,8 @@ pub fn run_baseline(
     let mut design = config.generate();
     let t = Instant::now();
     let gp = placer.global_place(&mut design);
-    let has_movable_macros = design
-        .cells
-        .iter()
-        .any(|c| c.kind == CellKind::Macro && c.is_movable());
-    if has_movable_macros {
-        // Same staging as the ePlace flow: std cells freeze during mLG.
-        let mut unfixed: Vec<usize> = Vec::new();
-        for (i, c) in design.cells.iter_mut().enumerate() {
-            if c.kind == CellKind::StdCell && !c.fixed {
-                c.fixed = true;
-                unfixed.push(i);
-            }
-        }
-        legalize_macros(&mut design, &eplace_cfg.mlg);
-        for &i in &unfixed {
-            design.cells[i].fixed = false;
-        }
-    }
-    let attempt = if eplace_cfg.use_abacus {
-        legalize_abacus(&mut design).or_else(|_| legalize(&mut design))
-    } else {
-        legalize(&mut design)
-    };
-    let ok = match attempt {
-        Ok(_) => {
-            detail_place(&mut design, eplace_cfg.detail_passes);
-            eplace_legalize::global_swap(&mut design, eplace_cfg.detail_passes);
-            detail_place(&mut design, 1);
-            true
-        }
-        Err(_) => false,
-    };
+    macro_legalization(&mut design, eplace_cfg);
+    let cdp = detail_placement(&mut design, eplace_cfg);
     let seconds = t.elapsed().as_secs_f64();
     let overflow = measure_overflow(&design);
     let hpwl = design.hpwl();
@@ -109,11 +82,11 @@ pub fn run_baseline(
         placer: placer.name().into(),
         circuit: config.name.clone(),
         hpwl,
-        scaled_hpwl: hpwl * (1.0 + 0.01 * (overflow * 100.0)),
+        scaled_hpwl: scaled_hpwl(hpwl, overflow),
         overflow,
         seconds,
         line_search_seconds: gp.line_search_seconds,
-        ok,
+        ok: cdp.legalization.is_some(),
     }
 }
 
@@ -137,7 +110,7 @@ pub fn run_suite(configs: &[BenchmarkConfig], eplace_cfg: &EplaceConfig) -> Vec<
             rows.push(run_baseline(b.as_ref(), config, eplace_cfg));
         }
         eprintln!("  [{}] ePlace ...", config.name);
-        rows.push(run_eplace(config, eplace_cfg));
+        rows.push(run_eplace(config, eplace_cfg).0);
     }
     rows
 }
@@ -289,17 +262,4 @@ pub fn filter_suite(
         configs.retain(|c| c.name.contains(f.as_str()));
     }
     configs
-}
-
-/// Generates a circuit, runs mIP+mGP only (the state Figures 3/5 start
-/// from), and returns the design plus the placer report. Used by the figure
-/// binaries that need mid-flow states.
-pub fn design_after_full_flow(
-    config: &BenchmarkConfig,
-    cfg: &EplaceConfig,
-) -> (Design, eplace_core::PlacementReport) {
-    let design = config.generate();
-    let mut placer = Placer::new(design, cfg.clone());
-    let report = placer.run().expect("placement diverged beyond recovery");
-    (placer.into_design(), report)
 }

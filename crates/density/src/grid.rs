@@ -301,12 +301,6 @@ impl DensityGrid {
         }
     }
 
-    /// Removes all registered fixed charge.
-    pub fn clear_fixed(&mut self) {
-        self.fixed.iter_mut().for_each(|v| *v = 0.0);
-        self.fixed_charge.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Deposits the movable objects at positions `pos` (parallel slices).
     /// Objects are clamped to the region; small objects are inflated to
     /// `√2 ×` the bin dimension with scaled density (charge preserved).

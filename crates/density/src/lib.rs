@@ -75,6 +75,36 @@ pub fn grid_dimension(movable_count: usize, min: usize, max: usize) -> usize {
     eplace_spectral::next_power_of_two(target).clamp(min, max)
 }
 
+/// Density overflow τ of `design`'s current layout: every movable cell
+/// deposited (fillers are assumed removed) against the fixed cells on a
+/// [`grid_dimension`]`(movables, grid_min, grid_max)` grid. 0 when nothing
+/// moves. The one overflow score of a finished placement, for ePlace and
+/// every baseline alike.
+pub fn layout_overflow(design: &eplace_netlist::Design, grid_min: usize, grid_max: usize) -> f64 {
+    let movables: Vec<usize> = design.movable_indices().collect();
+    if movables.is_empty() {
+        return 0.0;
+    }
+    let dim = grid_dimension(movables.len(), grid_min, grid_max);
+    let mut grid = DensityGrid::new(design.region, dim, dim, design.target_density);
+    for c in design.cells.iter().filter(|c| c.fixed) {
+        grid.add_fixed(c.rect());
+    }
+    let objects: Vec<DensityObject> = movables
+        .iter()
+        .map(|&i| DensityObject::movable(design.cells[i].size))
+        .collect();
+    let pos: Vec<_> = movables.iter().map(|&i| design.cells[i].pos).collect();
+    grid.deposit(&objects, &pos);
+    grid.overflow()
+}
+
+/// Scaled HPWL `hpwl·(1 + 0.01·τ_avg)` of the ISPD-2006 protocol, with
+/// `τ_avg` the percentage density overflow (`overflow` is a fraction).
+pub fn scaled_hpwl(hpwl: f64, overflow: f64) -> f64 {
+    hpwl * (1.0 + 0.01 * (overflow * 100.0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

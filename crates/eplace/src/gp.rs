@@ -74,10 +74,10 @@ pub struct GpOutcome {
 /// Iteration records are appended to `trace`.
 ///
 /// The loop is guarded: every iteration a read-only sentinel checks for
-/// non-finite gradients/metrics, steplength collapse, and HPWL explosion
-/// (see [`crate::recover`]). On a trip the loop rewinds to the last
-/// checkpoint (taken every 10 iterations), scales the steplength by 0.1,
-/// re-anchors λ/γ, and retries.
+/// non-finite gradients/metrics, steplength collapse, and HPWL explosion.
+/// On a trip the loop rewinds to the last checkpoint
+/// ([`crate::GpCheckpoint`], taken every 10 iterations), scales the
+/// steplength by 0.1, re-anchors λ/γ, and retries.
 ///
 /// # Errors
 ///

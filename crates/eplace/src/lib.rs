@@ -13,6 +13,10 @@
 //! cDP  — legalization + detail placement            [eplace_legalize]
 //! ```
 //!
+//! The discrete stages are public as [`macro_legalization`] and
+//! [`detail_placement`]; the baseline placers in the benchmarks and tests
+//! finish through the same two functions.
+//!
 //! The optimizer is Nesterov's method (Algorithm 1) with the steplength
 //! predicted as the inverse Lipschitz constant (Eq. 10) and corrected by the
 //! backtracking of Algorithm 2 ([`NesterovOptimizer`]); the gradient is
@@ -54,7 +58,7 @@ pub use fillers::insert_fillers;
 pub use gp::{resume_global_placement, run_global_placement, GpOutcome};
 pub use mip::{initial_placement, quadratic_solve, Anchor, MipReport};
 pub use nesterov::{Gradient, NesterovCheckpoint, NesterovOptimizer, StepInfo};
-pub use placer::{PlacementReport, Placer};
+pub use placer::{detail_placement, macro_legalization, CdpOutcome, PlacementReport, Placer};
 pub use problem::PlacementProblem;
 pub use recover::{FaultKind, GpCheckpoint, GradientFault};
 pub use routability::{RoutabilityConfig, RoutabilityOutcome};
@@ -100,9 +104,10 @@ pub struct EplaceConfig {
     pub mlg: MlgConfig,
     /// Detail-placement refinement passes in cDP.
     pub detail_passes: usize,
-    /// Use the Abacus (cluster-optimal) legalizer for cDP instead of
-    /// Tetris; NTUplace3's detail placer (the paper's cDP) is of the
-    /// minimal-displacement family, which Abacus represents better.
+    /// Legalize in cDP with Abacus (cluster-optimal), falling back to Tetris
+    /// when Abacus runs out of room; `false` runs Tetris alone. NTUplace3's
+    /// detail placer (the paper's cDP) is of the minimal-displacement
+    /// family, which Abacus represents better.
     pub use_abacus: bool,
     /// Seed for filler scattering (and anything else stochastic outside mLG).
     pub seed: u64,

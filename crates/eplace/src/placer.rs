@@ -4,6 +4,7 @@ use crate::{
     initial_placement, insert_fillers, run_global_placement, EplaceConfig, MipReport, Obs,
     PlacementProblem,
 };
+use eplace_density::{layout_overflow, scaled_hpwl};
 use eplace_errors::EplaceError;
 use eplace_legalize::{detail_place, global_swap, legalize, legalize_abacus, LegalizeReport};
 use eplace_mlg::{legalize_macros, MlgReport};
@@ -163,32 +164,9 @@ impl Placer {
         design.remove_fillers();
 
         // --- mLG + cGP (mixed-size only, §VII) ------------------------------
-        let has_movable_macros = design
-            .cells
-            .iter()
-            .any(|c| c.kind == CellKind::Macro && c.is_movable());
-        let mut mlg_report = None;
+        let mlg_report = macro_legalization(design, &cfg);
         let mut cgp_iterations = 0;
-        if has_movable_macros {
-            // mLG: fix std cells, anneal macros, fix macros.
-            let mlg_span = obs.span("mlg");
-            let mut unfixed_std: Vec<usize> = Vec::new();
-            for (i, c) in design.cells.iter_mut().enumerate() {
-                if c.kind == CellKind::StdCell && !c.fixed {
-                    c.fixed = true;
-                    unfixed_std.push(i);
-                }
-            }
-            let mlg = spanned(&obs, "mlg_anneal", || legalize_macros(design, &cfg.mlg));
-            obs.add("mlg_outer_iterations", mlg.outer_iterations as u64);
-            obs.add("mlg_moves_attempted", mlg.moves_attempted as u64);
-            obs.add("mlg_moves_accepted", mlg.moves_accepted as u64);
-            mlg_report = Some(mlg);
-            for &i in &unfixed_std {
-                design.cells[i].fixed = false;
-            }
-            drop(mlg_span);
-
+        if mlg_report.is_some() {
             // Filler-only relocation (§VI-B), then cGP.
             insert_fillers(design, cfg.seed.wrapping_add(1));
             if cfg.enable_filler_phase {
@@ -232,43 +210,10 @@ impl Placer {
             routability = Some(out);
         }
 
-        // --- cDP -------------------------------------------------------------
-        let cdp_span = obs.span("cdp");
-        // Abacus is the quality choice; Tetris is the fallback when its
-        // greedy segment selection runs out of room.
-        let tetris = |design: &mut Design| spanned(&obs, "legalize_tetris", || legalize(design));
-        let attempt = if cfg.use_abacus {
-            spanned(&obs, "legalize_abacus", || legalize_abacus(design)).or_else(|_| tetris(design))
-        } else {
-            tetris(design)
-        };
-        let (legal, legal_err) = match attempt {
-            Ok(r) => {
-                obs.add("legalize_runs", 1);
-                obs.add("legalize_cells_placed", r.placed as u64);
-                (Some(r), None)
-            }
-            Err(e) => (None, Some(e.to_string())),
-        };
-        let detail_gain = if legal.is_some() {
-            let detail = |design: &mut Design, passes: usize| {
-                spanned(&obs, "detail_place", || detail_place(design, passes))
-            };
-            // In-row refinement, then the cross-row global-swap pass.
-            let refined = detail(design, cfg.detail_passes);
-            let swapped = spanned(&obs, "global_swap", || {
-                global_swap(design, cfg.detail_passes)
-            });
-            refined + swapped + detail(design, 1)
-        } else {
-            0.0
-        };
-        drop(cdp_span);
-
-        // --- Final scoring ----------------------------------------------------
+        // --- cDP and final scoring --------------------------------------------
+        let cdp = detail_placement(design, &cfg);
         let final_hpwl = design.hpwl();
-        let final_overflow = final_overflow_of(design, &cfg);
-        let scaled_hpwl = final_hpwl * (1.0 + 0.01 * (final_overflow * 100.0));
+        let final_overflow = layout_overflow(design, cfg.grid_min, cfg.grid_max);
         let suboptimality_ratio = cfg.known_optimum_hpwl.map(|opt| final_hpwl / opt);
 
         // Close the flow span so the snapshot sees its total, then derive
@@ -295,7 +240,7 @@ impl Placer {
 
         Ok(PlacementReport {
             final_hpwl,
-            scaled_hpwl,
+            scaled_hpwl: scaled_hpwl(final_hpwl, final_overflow),
             final_overflow,
             suboptimality_ratio,
             mip,
@@ -305,9 +250,9 @@ impl Placer {
             recoveries,
             mlg: mlg_report,
             cgp_iterations,
-            legalization: legal,
-            legalization_error: legal_err,
-            detail_gain,
+            legalization: cdp.legalization,
+            legalization_error: cdp.error,
+            detail_gain: cdp.detail_gain,
             routability,
             stage_timings,
             iterations_per_stage: iterations_per_stage(&trace),
@@ -316,6 +261,89 @@ impl Placer {
             flow_seconds: summary.total_seconds,
             journal_io_errors,
         })
+    }
+}
+
+/// What cDP produced ([`detail_placement`]).
+#[derive(Debug, Clone)]
+pub struct CdpOutcome {
+    /// Legalization outcome (`None` if legalization failed).
+    pub legalization: Option<LegalizeReport>,
+    /// Error string when legalization failed.
+    pub error: Option<String>,
+    /// HPWL improvement from detail placement (0 when legalization failed).
+    pub detail_gain: f64,
+}
+
+/// The flow's mLG stage (§VI-A): anneals every movable macro of `design`
+/// to an overlap-free spot, then fixes it there. Std cells enter only as
+/// the coverage term, whatever their `fixed` flag. `None` when the design
+/// has no movable macro (std-cell-only designs skip mLG and cGP, §VII).
+///
+/// Records the `mlg` span (child `mlg_anneal`) and the `mlg_*` counters on
+/// `cfg.obs`.
+pub fn macro_legalization(design: &mut Design, cfg: &EplaceConfig) -> Option<MlgReport> {
+    if !design
+        .cells
+        .iter()
+        .any(|c| c.kind == CellKind::Macro && c.is_movable())
+    {
+        return None;
+    }
+    let obs = &cfg.obs;
+    let _span = obs.span("mlg");
+    let mlg = spanned(obs, "mlg_anneal", || legalize_macros(design, &cfg.mlg));
+    obs.add("mlg_outer_iterations", mlg.outer_iterations as u64);
+    obs.add("mlg_moves_attempted", mlg.moves_attempted as u64);
+    obs.add("mlg_moves_accepted", mlg.moves_accepted as u64);
+    Some(mlg)
+}
+
+/// The flow's cDP stage: legalizes the (filler-free) std cells of `design`
+/// and refines them. Legalization is Abacus with a Tetris fallback when
+/// Abacus runs out of room, or Tetris alone without
+/// [`EplaceConfig::use_abacus`]. A legal placement then gets
+/// [`EplaceConfig::detail_passes`] in-row passes, the cross-row global
+/// swap, and one closing in-row pass; a failed one is left as is.
+///
+/// Every placer in the benchmarks and tests finishes through this one
+/// function, so their HPWLs compare global placements on equal footing.
+/// Records the `cdp` span (children `legalize_abacus`, `legalize_tetris`,
+/// `detail_place`, `global_swap`) and the `legalize_*` counters on
+/// `cfg.obs`.
+pub fn detail_placement(design: &mut Design, cfg: &EplaceConfig) -> CdpOutcome {
+    let obs = &cfg.obs;
+    let _span = obs.span("cdp");
+    let tetris = |design: &mut Design| spanned(obs, "legalize_tetris", || legalize(design));
+    let attempt = if cfg.use_abacus {
+        spanned(obs, "legalize_abacus", || legalize_abacus(design)).or_else(|_| tetris(design))
+    } else {
+        tetris(design)
+    };
+    let legalization = match attempt {
+        Ok(r) => r,
+        Err(e) => {
+            return CdpOutcome {
+                legalization: None,
+                error: Some(e.to_string()),
+                detail_gain: 0.0,
+            }
+        }
+    };
+    obs.add("legalize_runs", 1);
+    obs.add("legalize_cells_placed", legalization.placed as u64);
+    let detail = |design: &mut Design, passes: usize| {
+        spanned(obs, "detail_place", || detail_place(design, passes))
+    };
+    // In-row refinement, then the cross-row global-swap pass.
+    let refined = detail(design, cfg.detail_passes);
+    let swapped = spanned(obs, "global_swap", || {
+        global_swap(design, cfg.detail_passes)
+    });
+    CdpOutcome {
+        legalization: Some(legalization),
+        error: None,
+        detail_gain: refined + swapped + detail(design, 1),
     }
 }
 
@@ -338,33 +366,13 @@ fn iterations_per_stage(trace: &[IterationRecord]) -> Vec<(Stage, usize)> {
     out
 }
 
-/// Density overflow of the final (filler-free) layout, measured on the same
-/// grid policy as global placement.
-fn final_overflow_of(design: &Design, cfg: &EplaceConfig) -> f64 {
-    use eplace_density::{grid_dimension, DensityGrid, DensityObject};
-    let movables: Vec<usize> = design.movable_indices().collect();
-    if movables.is_empty() {
-        return 0.0;
-    }
-    let dim = grid_dimension(movables.len(), cfg.grid_min, cfg.grid_max);
-    let mut grid = DensityGrid::new(design.region, dim, dim, design.target_density);
-    for c in design.cells.iter().filter(|c| c.fixed) {
-        grid.add_fixed(c.rect());
-    }
-    let objects: Vec<DensityObject> = movables
-        .iter()
-        .map(|&i| DensityObject::movable(design.cells[i].size))
-        .collect();
-    let pos: Vec<_> = movables.iter().map(|&i| design.cells[i].pos).collect();
-    grid.deposit(&objects, &pos);
-    grid.overflow()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eplace_benchgen::BenchmarkConfig;
+    use eplace_geometry::Rect;
     use eplace_legalize::check_legal;
+    use eplace_netlist::DesignBuilder;
 
     #[test]
     fn stdcell_flow_end_to_end() {
@@ -487,5 +495,29 @@ mod tests {
                 .final_hpwl
         };
         assert_eq!(mk(), mk());
+    }
+
+    #[test]
+    fn cdp_failure_falls_back_to_tetris_and_reports_error() {
+        // Three 6-wide cells in one 10-wide row: neither legalizer fits them.
+        let mut b = DesignBuilder::new("full", Rect::new(0.0, 0.0, 10.0, 12.0));
+        b.uniform_rows(12.0, 1.0);
+        for i in 0..3 {
+            b.add_cell(format!("c{i}"), 6.0, 12.0, CellKind::StdCell);
+        }
+        let mut design = b.build();
+        let cfg = EplaceConfig {
+            obs: Obs::metrics(),
+            ..EplaceConfig::fast()
+        };
+        let cdp = detail_placement(&mut design, &cfg);
+        assert!(cdp.legalization.is_none());
+        assert!(cdp.error.is_some());
+        assert_eq!(cdp.detail_gain, 0.0);
+        let snap = cfg.obs.snapshot();
+        assert!(snap.span("cdp/legalize_abacus").is_some());
+        assert!(snap.span("cdp/legalize_tetris").is_some());
+        assert!(snap.span("cdp/detail_place").is_none());
+        assert_eq!(snap.counter("legalize_runs"), 0);
     }
 }

@@ -31,8 +31,8 @@ pub struct MlgReport {
     pub legalized: bool,
 }
 
-/// Coverage grid resolution (std cells are fixed during mLG, so their area
-/// map is built once).
+/// Coverage grid resolution (std cells do not move during mLG, so their
+/// area map is built once).
 const COVER_GRID: usize = 128;
 
 struct MacroState {
@@ -120,8 +120,8 @@ impl CoverageGrid {
 
 /// Legalizes all movable macros in `design` by direct-motion simulated
 /// annealing, then fixes them in place. Standard cells are treated as a
-/// static coverage map (the flow fixes them before calling mLG) and fixed
-/// blocks as hard overlap obstacles.
+/// static coverage map whatever their `fixed` flag (mLG never moves them),
+/// and fixed non-std blocks as hard overlap obstacles.
 pub fn legalize_macros(design: &mut Design, cfg: &MlgConfig) -> MlgReport {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let cover = CoverageGrid::build(design);
@@ -423,5 +423,32 @@ mod tests {
             report.macro_overlap_after < 0.05 * report.macro_overlap_before.max(1.0),
             "{report:?}"
         );
+    }
+
+    #[test]
+    fn std_cell_fixed_flag_is_ignored() {
+        // Std cells only enter through the coverage grid, so freezing them
+        // around mLG cannot change its outcome.
+        let mut free = eplace_benchgen::BenchmarkConfig::mms_like("f", 18, 1.0, 6)
+            .scale(200)
+            .generate();
+        let mut frozen = free.clone();
+        for (a, b) in free.cells.iter_mut().zip(frozen.cells.iter_mut()) {
+            if a.kind == CellKind::StdCell {
+                a.fixed = false;
+                b.fixed = true;
+            }
+        }
+        let cfg = MlgConfig::default();
+        let r_free = legalize_macros(&mut free, &cfg);
+        let r_frozen = legalize_macros(&mut frozen, &cfg);
+        assert!(r_free.moves_accepted > 0, "{r_free:?}");
+        assert_eq!(r_free, r_frozen);
+        for (a, b) in free.cells.iter().zip(&frozen.cells) {
+            if a.kind == CellKind::Macro {
+                assert_eq!(a.pos.x.to_bits(), b.pos.x.to_bits());
+                assert_eq!(a.pos.y.to_bits(), b.pos.y.to_bits());
+            }
+        }
     }
 }

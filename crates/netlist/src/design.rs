@@ -55,14 +55,6 @@ pub enum CellKind {
     Filler,
 }
 
-impl CellKind {
-    /// Whether objects of this kind connect to nets.
-    #[inline]
-    pub fn has_pins(self) -> bool {
-        !matches!(self, CellKind::Filler)
-    }
-}
-
 /// A placement object: standard cell, macro, fixed terminal or filler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {

@@ -66,11 +66,6 @@ impl Summary {
         }
     }
 
-    /// The text table over this summary's phases.
-    pub fn render_table(&self) -> String {
-        render_phase_table(&self.phases, self.total_seconds)
-    }
-
     /// The summary as a journal record (`"type":"summary"`), carrying the
     /// total, the per-phase breakdown as a JSON array, and every counter.
     pub fn to_record(&self) -> Record {
