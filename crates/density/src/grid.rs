@@ -1,18 +1,10 @@
 use crate::SMOOTH_FACTOR;
-use eplace_exec::{deterministic_chunks, for_each_chunk_pooled, ExecConfig};
+use eplace_exec::{for_each_span, ExecConfig};
 use eplace_geometry::{overlap_1d, Point, Rect, Size};
 use eplace_obs::Obs;
 use eplace_spectral::Transform2d;
 use std::f64::consts::PI;
-
-/// Below this object count the deposit always runs serially: the per-chunk
-/// grid accumulators would cost more than the sweep itself.
-const DEPOSIT_MIN_CHUNK: usize = 1024;
-/// Cap on deposit chunks, bounding the transient accumulator memory to
-/// `DEPOSIT_MAX_CHUNKS` grid copies. The chunk structure depends only on the
-/// object count — never on the thread count — so parallel results are
-/// reproducible on any machine.
-const DEPOSIT_MAX_CHUNKS: usize = 8;
+use std::ops::Range;
 
 /// A movable object as the density system sees it: a size, whether it
 /// counts toward density *overflow* (fillers do not — they are whitespace),
@@ -66,33 +58,6 @@ impl DensityObject {
     }
 }
 
-/// Reusable per-chunk accumulators for the parallel deposit sweep. Kept in a
-/// pool on the grid so steady-state deposits allocate nothing; each chunk
-/// resets its scratch before accumulating, which reproduces the historical
-/// fresh-`vec![0.0]` contents bit for bit.
-#[derive(Debug, Clone)]
-struct DepositScratch {
-    charge: Vec<f64>,
-    usage: Vec<f64>,
-    area: f64,
-}
-
-impl DepositScratch {
-    fn new(bins: usize) -> Self {
-        DepositScratch {
-            charge: vec![0.0; bins],
-            usage: vec![0.0; bins],
-            area: 0.0,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.charge.iter_mut().for_each(|v| *v = 0.0);
-        self.usage.iter_mut().for_each(|v| *v = 0.0);
-        self.area = 0.0;
-    }
-}
-
 /// The electrostatic bin grid: charge accumulation, spectral Poisson solve,
 /// and per-object energy/gradient sampling.
 ///
@@ -140,9 +105,6 @@ pub struct DensityGrid {
     wy_tab: Vec<f64>,
     wx2_tab: Vec<f64>,
     wy2_tab: Vec<f64>,
-    /// Scratch pool for the chunked parallel deposit (empty until the first
-    /// parallel deposit; at most `DEPOSIT_MAX_CHUNKS` entries).
-    deposit_pool: Vec<DepositScratch>,
     /// Σ of overflow-counting movable area at the last deposit.
     movable_area: f64,
     solved: bool,
@@ -191,7 +153,6 @@ impl DensityGrid {
             wy_tab,
             wx2_tab,
             wy2_tab,
-            deposit_pool: Vec::new(),
             movable_area: 0.0,
             solved: false,
             exec: ExecConfig::serial(),
@@ -199,12 +160,10 @@ impl DensityGrid {
         }
     }
 
-    /// Sets the execution policy. Serial (the default) reproduces the
-    /// historical single-threaded results bit for bit; any parallel setting
-    /// produces one deterministic result regardless of the thread count,
-    /// because work is chunked by data size only and partial sums are merged
-    /// in chunk order. The policy propagates to the spectral transform,
-    /// whose row and column passes are the solve's only parallel work.
+    /// Sets the execution policy. The deposit gives each worker a band of
+    /// bin rows that it fills in object order, and the spectral transform
+    /// (which this propagates to) gives each worker whole rows and columns,
+    /// so every thread count, serial included, produces the same bits.
     pub fn set_exec(&mut self, exec: ExecConfig) {
         self.exec = exec;
         self.transform.set_exec(exec);
@@ -315,77 +274,44 @@ impl DensityGrid {
             "objects/positions length mismatch"
         );
         let _span = self.obs.span("density_deposit");
-        if self.exec.is_serial() || objects.len() < DEPOSIT_MIN_CHUNK {
-            self.deposit_serial(objects, pos);
-        } else {
-            self.deposit_parallel(objects, pos);
-        }
-        self.solved = false;
-    }
-
-    /// The historical single-threaded sweep: accumulation order is the object
-    /// order, so results are bit-identical to every prior release.
-    fn deposit_serial(&mut self, objects: &[DensityObject], pos: &[Point]) {
         self.charge.copy_from_slice(&self.fixed_charge);
-        self.usage.iter_mut().for_each(|v| *v = 0.0);
-        self.movable_area = 0.0;
+        self.usage.fill(0.0);
+        self.movable_area = objects
+            .iter()
+            .filter(|obj| obj.counts_in_overflow)
+            .fold(0.0, |area, obj| area + obj.charge());
         let mut charge = std::mem::take(&mut self.charge);
         let mut usage = std::mem::take(&mut self.usage);
-        for (obj, &p) in objects.iter().zip(pos) {
-            self.deposit_one_into(obj, p, &mut charge);
-            if obj.counts_in_overflow {
-                self.movable_area += obj.charge();
-                self.deposit_usage_into(obj, p, &mut usage);
-            }
-        }
+        let nx = self.nx;
+        let this: &DensityGrid = self;
+        // Each worker owns a band of bin rows in both maps and sweeps every
+        // object in object order, so each bin sums its terms in that order
+        // whatever the band split.
+        for_each_span(
+            &this.exec,
+            this.ny,
+            (&mut charge[..], &mut usage[..]),
+            |(charge, usage), head| {
+                let (charge_head, charge_tail) = charge.split_at_mut(head.len() * nx);
+                let (usage_head, usage_tail) = usage.split_at_mut(head.len() * nx);
+                ((charge_head, usage_head), (charge_tail, usage_tail))
+            },
+            &mut Vec::new(),
+            || (),
+            |rows, (charge, usage), _| {
+                for (obj, &p) in objects.iter().zip(pos) {
+                    let (rect, scale) = this.smoothed_footprint(obj, p);
+                    this.add_overlap(rect, scale, &rows, charge);
+                    if obj.counts_in_overflow {
+                        let raw = Rect::from_center(p, obj.size.width, obj.size.height);
+                        this.add_overlap(raw, obj.density_scale, &rows, usage);
+                    }
+                }
+            },
+        );
         self.charge = charge;
         self.usage = usage;
-    }
-
-    /// Chunked parallel sweep. Each chunk accumulates into its own pair of
-    /// grid buffers (never into shared bins — no atomic floats anywhere);
-    /// the partial grids are then merged *in chunk order*, so the result is
-    /// one fixed floating-point association for a given object count, no
-    /// matter how many threads executed the chunks. Chunk accumulators come
-    /// from a pool owned by the grid: after warm-up, deposits allocate
-    /// nothing.
-    fn deposit_parallel(&mut self, objects: &[DensityObject], pos: &[Point]) {
-        let bins = self.nx * self.ny;
-        let chunks = deterministic_chunks(objects.len(), DEPOSIT_MIN_CHUNK, DEPOSIT_MAX_CHUNKS);
-        let mut pool = std::mem::take(&mut self.deposit_pool);
-        {
-            let this: &DensityGrid = self;
-            for_each_chunk_pooled(
-                &this.exec,
-                objects.len(),
-                chunks,
-                &mut pool,
-                || DepositScratch::new(bins),
-                |_, range, scratch| {
-                    scratch.reset();
-                    for (obj, &p) in objects[range.clone()].iter().zip(&pos[range]) {
-                        this.deposit_one_into(obj, p, &mut scratch.charge);
-                        if obj.counts_in_overflow {
-                            scratch.area += obj.charge();
-                            this.deposit_usage_into(obj, p, &mut scratch.usage);
-                        }
-                    }
-                },
-            );
-        }
-        self.charge.copy_from_slice(&self.fixed_charge);
-        self.usage.iter_mut().for_each(|v| *v = 0.0);
-        self.movable_area = 0.0;
-        for scratch in pool.iter().take(chunks) {
-            for (dst, src) in self.charge.iter_mut().zip(&scratch.charge) {
-                *dst += *src;
-            }
-            for (dst, src) in self.usage.iter_mut().zip(&scratch.usage) {
-                *dst += *src;
-            }
-            self.movable_area += scratch.area;
-        }
-        self.deposit_pool = pool;
+        self.solved = false;
     }
 
     /// The inflated footprint and density scale used when depositing `obj`
@@ -403,41 +329,26 @@ impl DensityGrid {
         (Rect::from_center(center, w, h), scale)
     }
 
-    fn deposit_one_into(&self, obj: &DensityObject, p: Point, charge: &mut [f64]) {
-        let (rect, scale) = self.smoothed_footprint(obj, p);
-        let clipped = match rect.intersection(&self.region) {
-            Some(r) => r,
-            None => return,
+    /// Adds `scale ×` the overlap area of `rect` (clipped to the region)
+    /// with each bin of rows `rows` into `band`, those rows of a map.
+    fn add_overlap(&self, rect: Rect, scale: f64, rows: &Range<usize>, band: &mut [f64]) {
+        let Some(clipped) = rect.intersection(&self.region) else {
+            return;
         };
-        let (ix0, ix1) = self.bin_range_x(clipped.xl, clipped.xh);
         let (iy0, iy1) = self.bin_range_y(clipped.yl, clipped.yh);
-        for iy in iy0..iy1 {
-            let (byl, byh) = self.bin_span_y(iy);
-            let oy = overlap_1d(clipped.yl, clipped.yh, byl, byh);
-            for ix in ix0..ix1 {
-                let (bxl, bxh) = self.bin_span_x(ix);
-                let ox = overlap_1d(clipped.xl, clipped.xh, bxl, bxh);
-                charge[iy * self.nx + ix] += ox * oy * scale;
-            }
+        let (iy0, iy1) = (iy0.max(rows.start), iy1.min(rows.end));
+        if iy0 >= iy1 {
+            return;
         }
-    }
-
-    fn deposit_usage_into(&self, obj: &DensityObject, p: Point, usage: &mut [f64]) {
-        let usage_scale = obj.density_scale;
-        let rect = Rect::from_center(p, obj.size.width, obj.size.height);
-        let clipped = match rect.intersection(&self.region) {
-            Some(r) => r,
-            None => return,
-        };
         let (ix0, ix1) = self.bin_range_x(clipped.xl, clipped.xh);
-        let (iy0, iy1) = self.bin_range_y(clipped.yl, clipped.yh);
         for iy in iy0..iy1 {
             let (byl, byh) = self.bin_span_y(iy);
             let oy = overlap_1d(clipped.yl, clipped.yh, byl, byh);
-            for ix in ix0..ix1 {
+            let row = &mut band[(iy - rows.start) * self.nx..];
+            for (ix, bin) in (ix0..ix1).zip(&mut row[ix0..ix1]) {
                 let (bxl, bxh) = self.bin_span_x(ix);
                 let ox = overlap_1d(clipped.xl, clipped.xh, bxl, bxh);
-                usage[iy * self.nx + ix] += ox * oy * usage_scale;
+                *bin += ox * oy * scale;
             }
         }
     }
@@ -1160,7 +1071,8 @@ mod parallel_solve_tests {
 mod parallel_deposit_tests {
     use super::*;
 
-    /// Enough objects to exceed `DEPOSIT_MIN_CHUNK` and span several chunks.
+    /// A few thousand overlapping cells, fillers and macros, many of them
+    /// straddling the row bands of every split tried below.
     fn crowd(n: usize) -> (Vec<DensityObject>, Vec<Point>) {
         let objs = (0..n)
             .map(|i| match i % 3 {
@@ -1187,36 +1099,43 @@ mod parallel_deposit_tests {
         g
     }
 
-    /// Chunked accumulation reassociates floating-point sums, so the parallel
-    /// deposit is not bitwise serial — but it must agree to rounding noise.
+    fn bits(map: &[f64]) -> Vec<u64> {
+        map.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Each worker owns a band of bin rows and adds its objects in object
+    /// order, so every bin sums the same terms in the same order as the
+    /// serial sweep: charge, usage and potential are bitwise serial.
     #[test]
-    fn parallel_deposit_matches_serial_within_rounding() {
+    fn parallel_deposit_is_bitwise_serial() {
         let (objs, pos) = crowd(3000);
         let mut serial = grid128(ExecConfig::serial());
         serial.deposit(&objs, &pos);
-        let mut par = grid128(ExecConfig::with_threads(4));
-        par.deposit(&objs, &pos);
-        let peak = serial
-            .charge_map()
-            .iter()
-            .fold(0.0f64, |a, &v| a.max(v.abs()));
-        for (a, b) in serial.charge_map().iter().zip(par.charge_map()) {
-            assert!((a - b).abs() <= 1e-9 * peak, "{a} vs {b}");
-        }
-        assert!((serial.overflow() - par.overflow()).abs() < 1e-9);
         serial.solve();
-        par.solve();
-        let psi_peak = serial
-            .potential_map()
-            .iter()
-            .fold(0.0f64, |a, &v| a.max(v.abs()));
-        for (a, b) in serial.potential_map().iter().zip(par.potential_map()) {
-            assert!((a - b).abs() <= 1e-9 * psi_peak.max(1.0), "{a} vs {b}");
+        for threads in [2, 4, 7, 32, 64] {
+            let mut par = grid128(ExecConfig::with_threads(threads));
+            par.deposit(&objs, &pos);
+            assert_eq!(
+                bits(serial.charge_map()),
+                bits(par.charge_map()),
+                "{threads}"
+            );
+            assert_eq!(
+                bits(&serial.utilization_map()),
+                bits(&par.utilization_map()),
+                "{threads}"
+            );
+            assert_eq!(serial.overflow().to_bits(), par.overflow().to_bits());
+            par.solve();
+            assert_eq!(
+                bits(serial.potential_map()),
+                bits(par.potential_map()),
+                "{threads}"
+            );
         }
     }
 
-    /// The chunk layout and merge order depend only on the object count, so
-    /// any thread count ≥ 2 must produce bit-identical maps.
+    /// Any two thread counts produce bit-identical maps.
     #[test]
     fn parallel_deposit_is_thread_count_invariant() {
         let (objs, pos) = crowd(2600);
@@ -1226,34 +1145,31 @@ mod parallel_deposit_tests {
             g
         };
         let two = run(2);
-        let two_bits: Vec<u64> = two.charge_map().iter().map(|v| v.to_bits()).collect();
-        for threads in [3, 5, 8] {
+        for threads in [1, 3, 5, 8] {
             let other = run(threads);
-            let bits: Vec<u64> = other.charge_map().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(two_bits, bits, "threads {threads}");
+            assert_eq!(
+                bits(two.charge_map()),
+                bits(other.charge_map()),
+                "{threads}"
+            );
             assert_eq!(two.overflow().to_bits(), other.overflow().to_bits());
         }
     }
 
-    /// Repeated parallel deposits reuse the pooled chunk accumulators and
-    /// still produce bit-identical maps (the reset reproduces fresh-buffer
-    /// contents exactly).
+    /// Repeated parallel deposits overwrite the maps rather than
+    /// accumulating into them, and produce bit-identical maps.
     #[test]
-    fn repeated_parallel_deposits_reuse_pool_and_stay_bitwise_stable() {
+    fn repeated_parallel_deposits_stay_bitwise_stable() {
         let (objs, pos) = crowd(3000);
         let mut g = grid128(ExecConfig::with_threads(4));
         g.deposit(&objs, &pos);
-        let first: Vec<u64> = g.charge_map().iter().map(|v| v.to_bits()).collect();
-        let pool_len = g.deposit_pool.len();
-        assert!(pool_len > 0, "parallel deposit should have built a pool");
+        let first = bits(g.charge_map());
         g.deposit(&objs, &pos);
-        assert_eq!(g.deposit_pool.len(), pool_len, "pool should be reused");
-        let second: Vec<u64> = g.charge_map().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(first, second);
+        assert_eq!(first, bits(g.charge_map()));
     }
 
-    /// threads = 1 and small inputs both take the historical serial sweep —
-    /// bitwise exact reproduction.
+    /// `threads = 1` and `ExecConfig::serial()` are the same policy, and a
+    /// small input gives the same bits at any thread count.
     #[test]
     fn serial_policy_and_small_inputs_are_bitwise_exact() {
         let (objs, pos) = crowd(3000);
@@ -1261,20 +1177,15 @@ mod parallel_deposit_tests {
         baseline.deposit(&objs, &pos);
         let mut one = grid128(ExecConfig::with_threads(1));
         one.deposit(&objs, &pos);
-        let bits = |g: &DensityGrid| {
-            g.charge_map()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&baseline), bits(&one));
-        // Below the chunking threshold the parallel policy falls back to the
-        // serial sweep as well.
+        assert_eq!(bits(baseline.charge_map()), bits(one.charge_map()));
         let (small_objs, small_pos) = crowd(200);
         let mut small_serial = grid128(ExecConfig::serial());
         small_serial.deposit(&small_objs, &small_pos);
         let mut small_par = grid128(ExecConfig::with_threads(4));
         small_par.deposit(&small_objs, &small_pos);
-        assert_eq!(bits(&small_serial), bits(&small_par));
+        assert_eq!(
+            bits(small_serial.charge_map()),
+            bits(small_par.charge_map())
+        );
     }
 }

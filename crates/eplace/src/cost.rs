@@ -86,8 +86,8 @@ impl<'a> EplaceCost<'a> {
 
     /// Sets the execution policy for both runtime-dominant kernels — the
     /// electrostatic grid (deposit + spectral solve) and the WA wirelength
-    /// model. Serial (the default) reproduces single-threaded results bit
-    /// for bit; parallel policies are deterministic for any thread count.
+    /// model. Every thread count, serial (the default) included, gives the
+    /// same bits.
     pub fn set_exec(&mut self, exec: ExecConfig) {
         self.wa.set_exec(exec);
         self.grid.set_exec(exec);

@@ -710,10 +710,9 @@ mod tests {
     }
 
     /// The `threads` knob must never make the placer nondeterministic:
-    /// threads = 1 is bit-identical to the default serial config, and any
-    /// parallel setting gives identical trajectories run after run (the
-    /// chunked reductions fix the floating-point association independently
-    /// of scheduling).
+    /// Every thread count gives the serial trajectory, run after run: each
+    /// kernel output element has one owner that adds its terms in the
+    /// serial order, whatever the split.
     #[test]
     fn threads_config_is_run_to_run_deterministic() {
         let run_with = |threads: usize| {
@@ -747,6 +746,7 @@ mod tests {
         assert_eq!(serial, run_with(1), "serial run must be reproducible");
         let par = run_with(4);
         assert_eq!(par, run_with(4), "parallel run must be reproducible");
+        assert_eq!(par, serial, "parallel run must match the serial one");
         assert_eq!(
             par,
             run_with(2),

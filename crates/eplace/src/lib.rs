@@ -122,12 +122,12 @@ pub struct EplaceConfig {
     /// degradations — 3 % of the initial HPWL reproduces that regime on
     /// the reduced-scale benchmarks.
     pub delta_hpwl_ref_frac: f64,
-    /// Worker threads for the density and wirelength kernels (the paper's
-    /// §VIII "acceleration via parallel computation"). `1` (the default)
-    /// runs the historical serial code paths and reproduces prior results
-    /// bit for bit; `0` auto-detects the hardware parallelism. Any value
-    /// ≥ 2 yields one deterministic result independent of the actual thread
-    /// count — see [`eplace_exec`].
+    /// Worker threads for the density, spectral and wirelength kernels (the
+    /// paper's §VIII "acceleration via parallel computation"). `1` (the
+    /// default) runs them on the calling thread; `0` auto-detects the
+    /// hardware parallelism. Every value gives the same result bit for bit:
+    /// each kernel output element has one owner that adds its terms in the
+    /// serial order — see [`eplace_exec`].
     pub threads: usize,
     /// Certified optimal HPWL of the input design, when one is known
     /// (PEKO-style benchmarks, `eplace_benchgen`'s

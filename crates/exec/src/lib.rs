@@ -3,47 +3,51 @@
 //! ePlace's runtime is dominated by three kernels — the WA wirelength
 //! gradient, density deposition, and the 2-D spectral transforms (paper
 //! Fig. 7: density 57 %, wirelength 29 % of mGP). This crate gives them one
-//! threading substrate built on `std::thread::scope`, with exactly two entry
-//! points for the two shapes of parallel work the kernels have:
+//! threading substrate built on `std::thread::scope`, with exactly one entry
+//! point, [`for_each_span`]: the caller's output is a sequence of *units*
+//! (grid rows, nets, cells, fixed chunks), the units are split statically
+//! into contiguous spans, and each span's output is written by exactly one
+//! worker.
 //!
-//! * [`for_each_chunk_pooled`] — *reductions* (WA net gradients, density
-//!   deposit, the router's probabilistic bulk). Work is split into *fixed*
-//!   chunks whose boundaries depend only on the problem size
-//!   ([`deterministic_chunks`]); each chunk fills its own pooled state, and
-//!   the caller reduces the states **in chunk order**. No atomic floats, no
-//!   first-come-first-merged races: `threads = 2` and `threads = 8` produce
-//!   identical bits.
-//! * [`for_each_unit_pooled`] — *disjoint units* (the row/column passes of
-//!   the 2-D transforms). Each unit is written by exactly one worker, so the
-//!   result is bitwise independent of the split by construction.
-//!
-//! Both take caller-owned scratch pools, so steady-state calls allocate
-//! nothing, and both run inline on the calling thread, with no thread
-//! machinery at all, under [`ExecConfig::serial`]. Kernels never start
-//! threads of their own: one call is one level of parallelism.
+//! Because every output element has one owner that adds its terms in the
+//! same order whatever the split, a kernel built on this primitive gives the
+//! same bits at every thread count — `threads = 1` is simply the one-span
+//! case, run inline on the calling thread with no thread machinery at all.
+//! No atomic floats and no merge of partial results. Scratch comes from a
+//! caller-owned pool, so steady-state calls allocate nothing, and kernels
+//! never start threads of their own: one call is one level of parallelism.
 //!
 //! # Examples
 //!
 //! ```
-//! use eplace_exec::{deterministic_chunks, for_each_chunk_pooled, ExecConfig};
+//! use eplace_exec::{for_each_span, ExecConfig};
 //!
-//! let data: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-//! let exec = ExecConfig::with_threads(4);
-//! let chunks = deterministic_chunks(data.len(), 64, 8);
-//! let mut partials = Vec::new();
-//! for_each_chunk_pooled(&exec, data.len(), chunks, &mut partials, || 0.0, |_, range, sum| {
-//!     *sum = data[range].iter().sum::<f64>();
-//! });
-//! // Reduction order is the chunk order — identical for every thread count.
-//! let total: f64 = partials[..chunks].iter().sum();
-//! assert_eq!(total, 499_500.0);
+//! // Prefix sums of each row of a 4 × 8 grid, one worker per row span.
+//! let nx = 8;
+//! let mut grid: Vec<f64> = (0..32).map(|i| i as f64).collect();
+//! let exec = ExecConfig::with_threads(3);
+//! for_each_span(
+//!     &exec,
+//!     grid.len() / nx,
+//!     &mut grid[..],
+//!     |rows, head| rows.split_at_mut(head.len() * nx),
+//!     &mut Vec::new(),
+//!     || (),
+//!     |_, rows, _| {
+//!         for row in rows.chunks_exact_mut(nx) {
+//!             for i in 1..nx {
+//!                 row[i] += row[i - 1];
+//!             }
+//!         }
+//!     },
+//! );
+//! assert_eq!(grid[7], 28.0);
+//! assert_eq!(grid[31], 24.0 + 25.0 + 26.0 + 27.0 + 28.0 + 29.0 + 30.0 + 31.0);
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Thread-count knob threaded from `EplaceConfig` down into the kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,15 +56,16 @@ pub struct ExecConfig {
 }
 
 impl Default for ExecConfig {
-    /// Serial — parallelism is opt-in so library users keep exact
-    /// historical results unless they ask otherwise.
+    /// Serial — one worker on the calling thread. Every kernel gives the
+    /// same bits at any thread count, so this only decides whether threads
+    /// are started, never what is computed.
     fn default() -> Self {
         ExecConfig::serial()
     }
 }
 
 impl ExecConfig {
-    /// Single-threaded execution (the exact pre-parallel code path).
+    /// Single-threaded execution: every span runs on the calling thread.
     pub fn serial() -> Self {
         ExecConfig { threads: 1 }
     }
@@ -95,159 +100,97 @@ impl ExecConfig {
     }
 }
 
-/// Number of fixed work chunks for a problem of `len` items: enough to load
-/// any realistic machine, few enough that per-chunk scratch stays cheap, and
-/// — critically — a function of `len` alone, never of the thread count
-/// (chunk boundaries define the floating-point reduction order, so they must
-/// not move when the machine changes).
-pub fn deterministic_chunks(len: usize, min_chunk: usize, max_chunks: usize) -> usize {
-    if len == 0 {
-        return 1;
-    }
-    len.div_ceil(min_chunk.max(1)).clamp(1, max_chunks.max(1))
-}
-
-/// Splits `0..len` into `num_chunks` near-equal contiguous ranges.
-fn chunk_range(len: usize, num_chunks: usize, i: usize) -> Range<usize> {
-    let base = len / num_chunks;
-    let rem = len % num_chunks;
-    let start = i * base + i.min(rem);
-    let extra = usize::from(i < rem);
-    start..start + base + extra
-}
-
-/// Applies `work` to each consecutive `unit_len` block of `data` (e.g. each
-/// row of a row-major grid), splitting the units statically into
-/// `threads.min(units)` contiguous spans, earlier workers taking the
-/// remainder. Every unit is written by exactly one worker and units are
-/// disjoint, so the output is bitwise identical for every thread count.
+/// Splits `0..units` statically into `min(threads, units)` contiguous spans
+/// (at least one; earlier spans take the remainder) and runs
+/// `work(span, output, scratch)` once per span, each on its own worker with
+/// its own slot of `pool`.
+///
+/// `data` is the caller-owned output of all `units` units. `split(rest,
+/// head)` receives the output of units `head.start..` and must cut it after
+/// unit `head.end`, returning the head's output and the rest — a row-major
+/// grid splits at `head.len() * row_len`, a CSR buffer at the offset of
+/// `head.end`, a pair of maps splits both. Each unit's output therefore has
+/// exactly one writer, and a kernel whose `work` adds each output element's
+/// terms in a fixed order gives the same bits for every thread count.
 ///
 /// `pool` is topped up to the worker count with `scratch_init` (on the
-/// calling thread) and each worker borrows one slot for all its units, so
-/// steady-state calls allocate nothing. Scratch contents persist between
-/// units and calls; `work` must not read scratch state it has not written
-/// for the current unit.
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not a multiple of `unit_len`.
-pub fn for_each_unit_pooled<T, S, M, F>(
+/// calling thread); scratch contents persist between calls, so `work` must
+/// not read scratch state it has not written. With one worker (serial
+/// config, or at most one unit) `work(0..units, data, &mut pool[0])` runs
+/// inline on the calling thread; otherwise the last span runs on the calling
+/// thread and the others on scoped threads.
+pub fn for_each_span<D, S, M, P, F>(
     exec: &ExecConfig,
-    data: &mut [T],
-    unit_len: usize,
+    units: usize,
+    data: D,
+    split: P,
     pool: &mut Vec<S>,
     scratch_init: M,
     work: F,
 ) where
-    T: Send,
+    D: Send,
     S: Send,
     M: Fn() -> S,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
+    P: Fn(D, Range<usize>) -> (D, D),
+    F: Fn(Range<usize>, D, &mut S) + Sync,
 {
-    assert!(unit_len > 0, "unit length must be positive");
-    assert_eq!(
-        data.len() % unit_len,
-        0,
-        "data length {} is not a multiple of unit length {}",
-        data.len(),
-        unit_len
-    );
-    let units = data.len() / unit_len;
-    let workers = if exec.is_serial() || units <= 1 {
-        1
-    } else {
-        exec.threads().min(units)
-    };
+    let workers = exec.threads().min(units).max(1);
     while pool.len() < workers {
         pool.push(scratch_init());
     }
+    let (first, last) = pool[..workers].split_at_mut(workers - 1);
     if workers == 1 {
-        let scratch = &mut pool[0];
-        for (i, unit) in data.chunks_mut(unit_len).enumerate() {
-            work(i, unit, scratch);
-        }
+        work(0..units, data, &mut last[0]);
         return;
     }
+    let (base, rem) = (units / workers, units % workers);
     std::thread::scope(|scope| {
+        let work = &work;
         let mut rest = data;
-        let mut scratches = &mut pool[..workers];
-        let base = units / workers;
-        let rem = units % workers;
-        let mut first_unit = 0;
-        for w in 0..workers {
-            let take = (base + usize::from(w < rem)) * unit_len;
-            let (mine, tail) = rest.split_at_mut(take);
+        let mut start = 0;
+        for (w, scratch) in first.iter_mut().enumerate() {
+            let span = start..start + base + usize::from(w < rem);
+            start = span.end;
+            let (mine, tail) = split(rest, span.clone());
             rest = tail;
-            let (slot, scratch_tail) = scratches.split_at_mut(1);
-            scratches = scratch_tail;
-            let start = first_unit;
-            first_unit += take / unit_len;
-            let work = &work;
-            scope.spawn(move || {
-                let scratch = &mut slot[0];
-                for (k, unit) in mine.chunks_mut(unit_len).enumerate() {
-                    work(start + k, unit, scratch);
-                }
-            });
+            scope.spawn(move || work(span, mine, scratch));
         }
-    });
-}
-
-/// Splits `0..len` into `num_chunks` fixed near-equal ranges and runs
-/// `work(i, range, &mut pool[i])` exactly once per chunk `i`, with `pool`
-/// topped up beforehand via `scratch_init` (on the calling thread). With
-/// [`ExecConfig::serial`] or a single chunk the chunks run inline, in order,
-/// on the calling thread. After the call `pool[..num_chunks]` holds the per-chunk
-/// results in chunk order — reduce them front-to-back for a thread-count
-/// invariant result, then hand the same pool back next call so steady-state
-/// iterations allocate nothing. `work` is responsible for resetting any
-/// state left from the previous call.
-pub fn for_each_chunk_pooled<S, M, F>(
-    exec: &ExecConfig,
-    len: usize,
-    num_chunks: usize,
-    pool: &mut Vec<S>,
-    scratch_init: M,
-    work: F,
-) where
-    S: Send,
-    M: Fn() -> S,
-    F: Fn(usize, Range<usize>, &mut S) + Sync,
-{
-    let num_chunks = num_chunks.max(1);
-    while pool.len() < num_chunks {
-        pool.push(scratch_init());
-    }
-    if exec.is_serial() || num_chunks == 1 {
-        for (i, scratch) in pool.iter_mut().enumerate().take(num_chunks) {
-            work(i, chunk_range(len, num_chunks, i), scratch);
-        }
-        return;
-    }
-    // Workers claim chunk indices dynamically; each slot's mutex is locked
-    // exactly once, by the worker that claimed its index.
-    let slots: Vec<Mutex<&mut S>> = pool.iter_mut().take(num_chunks).map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
-    let workers = exec.threads().min(num_chunks);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= num_chunks {
-                    break;
-                }
-                let mut slot = slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                work(i, chunk_range(len, num_chunks, i), &mut slot);
-            });
-        }
+        work(start..units, rest, &mut last[0]);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `for_each_span` over `units` units of `unit_len` elements each,
+    /// recording in every element the span that wrote it and the order in
+    /// which its span visited it.
+    fn run(
+        threads: usize,
+        units: usize,
+        unit_len: usize,
+        pool: &mut Vec<Vec<usize>>,
+    ) -> Vec<(usize, usize)> {
+        let mut data = vec![(usize::MAX, usize::MAX); units * unit_len];
+        for_each_span(
+            &ExecConfig::with_threads(threads),
+            units,
+            &mut data[..],
+            |d, head| d.split_at_mut(head.len() * unit_len),
+            pool,
+            Vec::new,
+            |span, out, seen| {
+                seen.clear();
+                for (k, v) in out.iter_mut().enumerate() {
+                    seen.push(k);
+                    *v = (span.start, k);
+                }
+                assert_eq!(out.len(), span.len() * unit_len);
+            },
+        );
+        data
+    }
 
     #[test]
     fn serial_config_is_default() {
@@ -258,80 +201,39 @@ mod tests {
     }
 
     #[test]
-    fn chunk_ranges_tile_exactly() {
-        for &(len, n) in &[(10usize, 3usize), (7, 7), (100, 8), (5, 16), (0, 4)] {
-            let n = n.max(1);
-            let mut covered = 0;
-            for i in 0..n {
-                let r = chunk_range(len, n, i);
-                assert_eq!(r.start, covered, "len {len} chunks {n}");
-                covered = r.end;
+    fn spans_tile_the_units_contiguously() {
+        for &(units, threads) in &[(10usize, 3usize), (7, 7), (100, 8), (5, 16), (1, 4)] {
+            let data = run(threads, units, 1, &mut Vec::new());
+            let starts: Vec<usize> = data.iter().map(|&(s, _)| s).collect();
+            // Span sizes differ by at most one, earlier spans larger.
+            let workers = threads.min(units);
+            let (base, rem) = (units / workers, units % workers);
+            let mut expect = Vec::new();
+            let mut start = 0;
+            for w in 0..workers {
+                let len = base + usize::from(w < rem);
+                expect.extend(std::iter::repeat_n(start, len));
+                start += len;
             }
-            assert_eq!(covered, len);
+            assert_eq!(starts, expect, "units {units} threads {threads}");
         }
     }
 
     #[test]
-    fn deterministic_chunks_ignores_thread_count() {
-        // The policy is a pure function of the problem size.
-        assert_eq!(deterministic_chunks(0, 64, 8), 1);
-        assert_eq!(deterministic_chunks(63, 64, 8), 1);
-        assert_eq!(deterministic_chunks(65, 64, 8), 2);
-        assert_eq!(deterministic_chunks(1 << 20, 64, 8), 8);
-    }
-
-    fn noisy_sum(range: Range<usize>) -> f64 {
-        // A sum whose value depends on the association order, to detect any
-        // merge-order nondeterminism.
-        range
-            .map(|i| ((i * 2654435761) % 1000) as f64 * 1e-3 + 1e10)
-            .sum()
-    }
-
-    #[test]
-    fn pooled_units_match_fresh_scratch_and_reuse_pool() {
-        let run = |threads: usize, pool: &mut Vec<Vec<f64>>| {
-            let mut data: Vec<f64> = (0..64 * 16).map(|i| (i % 97) as f64).collect();
-            for_each_unit_pooled(
-                &ExecConfig::with_threads(threads),
-                &mut data,
-                64,
-                pool,
-                || vec![0.0f64; 64],
-                |i, unit, scratch| {
-                    for (k, v) in unit.iter_mut().enumerate() {
-                        scratch[k] = *v * (i + 1) as f64;
-                    }
-                    unit.copy_from_slice(scratch);
-                },
-            );
-            data
-        };
-        let mut pool = Vec::new();
-        let serial = run(1, &mut pool);
-        assert_eq!(pool.len(), 1);
-        for threads in [2, 4, 16] {
-            let mut pool = Vec::new();
-            assert_eq!(serial, run(threads, &mut pool), "threads {threads}");
-            assert_eq!(pool.len(), threads.min(16));
-            // Second call reuses the pool without growing it.
-            assert_eq!(serial, run(threads, &mut pool), "threads {threads}");
-            assert_eq!(pool.len(), threads.min(16));
-        }
-    }
-
-    #[test]
-    fn pooled_units_visit_every_unit_once() {
+    fn every_unit_is_visited_once() {
         let mut data = vec![0u64; 8 * 13];
-        for_each_unit_pooled(
+        for_each_span(
             &ExecConfig::with_threads(3),
-            &mut data,
-            13,
+            8,
+            &mut data[..],
+            |d, head| d.split_at_mut(head.len() * 13),
             &mut Vec::new(),
             || (),
-            |i, unit, _| {
-                for v in unit.iter_mut() {
-                    *v += i as u64 + 1;
+            |span, out, _| {
+                for (unit, block) in span.zip(out.chunks_exact_mut(13)) {
+                    for v in block.iter_mut() {
+                        *v += unit as u64 + 1;
+                    }
                 }
             },
         );
@@ -341,79 +243,69 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn pooled_units_reject_ragged_data() {
-        let mut data = vec![0.0f64; 10];
-        for_each_unit_pooled(
-            &ExecConfig::serial(),
-            &mut data,
-            3,
+    fn span_keeps_unit_order() {
+        // Within a span the output arrives in unit order, so a worker adds
+        // each element's terms in the serial order.
+        let data = run(4, 12, 5, &mut Vec::new());
+        for block in data.chunks(15) {
+            let offsets: Vec<usize> = block.iter().map(|&(_, k)| k).collect();
+            assert_eq!(offsets, (0..15).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn pool_holds_one_slot_per_worker_and_is_reused() {
+        for threads in [1, 2, 4, 16, 40] {
+            let mut pool = Vec::new();
+            let first = run(threads, 16, 4, &mut pool);
+            assert_eq!(pool.len(), threads.min(16));
+            let capacity: Vec<usize> = pool.iter().map(Vec::capacity).collect();
+            // A second call reuses the slots without growing the pool.
+            assert_eq!(first, run(threads, 16, 4, &mut pool));
+            assert_eq!(pool.len(), threads.min(16));
+            assert_eq!(capacity, pool.iter().map(Vec::capacity).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_inline_and_zero_units_run_once() {
+        let caller = std::thread::current().id();
+        let calls = std::sync::Mutex::new(Vec::new());
+        for units in [1, 0] {
+            let mut data = vec![0u8; units];
+            for_each_span(
+                &ExecConfig::with_threads(8),
+                units,
+                &mut data[..],
+                |d, head| d.split_at_mut(head.len()),
+                &mut Vec::new(),
+                || (),
+                |span, _, _| {
+                    let mut calls = calls.lock().unwrap();
+                    calls.push((span, std::thread::current().id()));
+                },
+            );
+        }
+        assert_eq!(
+            calls.into_inner().unwrap(),
+            vec![(0..1, caller), (0..0, caller)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mid > len")]
+    fn output_shorter_than_its_units_is_rejected() {
+        // Eight elements cannot hold four units of three: cutting off the
+        // third span's output panics instead of handing out a short span.
+        let mut data = [0.0f64; 8];
+        for_each_span(
+            &ExecConfig::with_threads(4),
+            4,
+            &mut data[..],
+            |d, head| d.split_at_mut(head.len() * 3),
             &mut Vec::new(),
             || (),
             |_, _, _| {},
         );
-    }
-
-    #[test]
-    fn pooled_chunks_preserve_chunk_order() {
-        let mut pool = Vec::new();
-        for_each_chunk_pooled(
-            &ExecConfig::with_threads(4),
-            100,
-            10,
-            &mut pool,
-            || (usize::MAX, usize::MAX),
-            |i, r, slot| *slot = (i, r.start),
-        );
-        assert_eq!(pool.len(), 10);
-        for (i, &(idx, start)) in pool.iter().enumerate() {
-            assert_eq!(idx, i);
-            assert_eq!(start, i * 10);
-        }
-    }
-
-    #[test]
-    fn pooled_chunks_handle_empty_input() {
-        let mut pool = Vec::new();
-        for_each_chunk_pooled(
-            &ExecConfig::with_threads(4),
-            0,
-            deterministic_chunks(0, 64, 8),
-            &mut pool,
-            || usize::MAX,
-            |_, r, slot| *slot = r.len(),
-        );
-        assert_eq!(pool, vec![0]);
-    }
-
-    #[test]
-    fn pooled_chunks_fill_in_chunk_order_and_reuse_pool() {
-        let len = 10_000;
-        let chunks = deterministic_chunks(len, 512, 8);
-        let reduce = |exec: &ExecConfig, pool: &mut Vec<f64>| {
-            for_each_chunk_pooled(
-                exec,
-                len,
-                chunks,
-                pool,
-                || 0.0,
-                |_, r, acc| {
-                    *acc = noisy_sum(r);
-                },
-            );
-            pool.iter().take(chunks).fold(0.0, |acc, x| acc + x)
-        };
-        let mut pool = Vec::new();
-        let serial = reduce(&ExecConfig::serial(), &mut pool);
-        assert_eq!(pool.len(), chunks);
-        for threads in [2, 3, 8] {
-            let mut pool = Vec::new();
-            let parallel = reduce(&ExecConfig::with_threads(threads), &mut pool);
-            assert_eq!(serial.to_bits(), parallel.to_bits(), "threads {threads}");
-            // Stale pool contents are overwritten, not accumulated.
-            let again = reduce(&ExecConfig::with_threads(threads), &mut pool);
-            assert_eq!(serial.to_bits(), again.to_bits(), "threads {threads}");
-            assert_eq!(pool.len(), chunks);
-        }
     }
 }

@@ -15,9 +15,9 @@
 //! 3. **Probabilistic L/Z routing** ([`deposit_probabilistic`]) — each
 //!    segment spreads its demand uniformly over its monotone single-jog
 //!    candidate routes, the expected congestion of a shortest-path router.
-//!    This bulk pass is parallelized with fixed chunk boundaries and
-//!    chunk-order reduction ([`eplace_exec`]), so results are bitwise
-//!    thread-count invariant.
+//!    This bulk pass is parallelized over fixed chunks of segments whose
+//!    demand is merged in chunk order ([`eplace_exec`]), so results are
+//!    bitwise thread-count invariant.
 //! 4. **A\* maze fallback** ([`maze_search`]) — segments crossing
 //!    overflowed gcells are ripped up and rerouted around congestion with a
 //!    deterministic congestion-aware A\* (total-order float comparison,

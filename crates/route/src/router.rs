@@ -5,8 +5,9 @@ use crate::decompose::{decompose, Segment};
 use crate::grid::{CapacityGrid, DemandSink};
 use crate::maze::{deposit_path, maze_search, MazeScratch};
 use crate::prob::deposit_probabilistic;
-use eplace_exec::{deterministic_chunks, for_each_chunk_pooled, ExecConfig};
+use eplace_exec::{for_each_span, ExecConfig};
 use eplace_netlist::Design;
+use std::ops::Range;
 
 /// Routing model parameters. The defaults route the synthetic suites at
 /// realistic utilization; tests tighten `capacity_scale` to manufacture
@@ -119,19 +120,24 @@ pub fn route_design(design: &Design, cfg: &RouteConfig, exec: &ExecConfig) -> Ro
     let segments = decompose(design, &grid);
 
     // --- Phase 1: probabilistic bulk, parallel over fixed chunks ---------
+    // Each chunk fills its own empty sink and length; the chunks are merged
+    // in chunk order below, so the split of chunks over workers never shows.
     let chunks = deterministic_chunks(segments.len(), 256, 16);
-    // The pool is fresh on every call, so each chunk starts from an empty
-    // sink and a zero length.
-    let mut partials = Vec::new();
-    for_each_chunk_pooled(
+    let mut partials: Vec<(DemandSink, f64)> = (0..chunks)
+        .map(|_| (DemandSink::for_grid(&grid), 0.0))
+        .collect();
+    for_each_span(
         exec,
-        segments.len(),
         chunks,
-        &mut partials,
-        || (DemandSink::for_grid(&grid), 0.0),
-        |_, range, (sink, wl)| {
-            for seg in &segments[range] {
-                *wl += deposit_probabilistic(seg, sink, bin_w, bin_h, 1.0);
+        &mut partials[..],
+        |partials, head| partials.split_at_mut(head.len()),
+        &mut Vec::new(),
+        || (),
+        |span, partials, _| {
+            for (i, (sink, wl)) in span.zip(partials) {
+                for seg in &segments[chunk_range(segments.len(), chunks, i)] {
+                    *wl += deposit_probabilistic(seg, sink, bin_w, bin_h, 1.0);
+                }
             }
         },
     );
@@ -192,10 +198,51 @@ pub fn route_design(design: &Design, cfg: &RouteConfig, exec: &ExecConfig) -> Ro
     RouteResult { report, grid }
 }
 
+/// Number of fixed phase-1 chunks for `len` segments: a function of `len`
+/// alone, never of the thread count, because the chunk boundaries fix the
+/// order in which the chunks' demand is merged.
+fn deterministic_chunks(len: usize, min_chunk: usize, max_chunks: usize) -> usize {
+    if len == 0 {
+        return 1;
+    }
+    len.div_ceil(min_chunk.max(1)).clamp(1, max_chunks.max(1))
+}
+
+/// Chunk `i` of `0..len` split into `num_chunks` near-equal contiguous ranges.
+fn chunk_range(len: usize, num_chunks: usize, i: usize) -> Range<usize> {
+    let base = len / num_chunks;
+    let rem = len % num_chunks;
+    let start = i * base + i.min(rem);
+    let extra = usize::from(i < rem);
+    start..start + base + extra
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use eplace_benchgen::BenchmarkConfig;
+
+    #[test]
+    fn chunk_ranges_tile_exactly() {
+        for &(len, n) in &[(10usize, 3usize), (7, 7), (100, 8), (5, 16), (0, 4)] {
+            let mut covered = 0;
+            for i in 0..n {
+                let r = chunk_range(len, n, i);
+                assert_eq!(r.start, covered, "len {len} chunks {n}");
+                covered = r.end;
+            }
+            assert_eq!(covered, len);
+        }
+    }
+
+    #[test]
+    fn deterministic_chunks_ignores_thread_count() {
+        // The policy is a pure function of the problem size.
+        assert_eq!(deterministic_chunks(0, 64, 8), 1);
+        assert_eq!(deterministic_chunks(63, 64, 8), 1);
+        assert_eq!(deterministic_chunks(65, 64, 8), 2);
+        assert_eq!(deterministic_chunks(1 << 20, 64, 8), 8);
+    }
 
     fn demo_design() -> Design {
         BenchmarkConfig::ispd05_like("route", 11)

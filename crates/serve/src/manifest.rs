@@ -39,7 +39,7 @@ pub struct JobManifest {
     /// Start from [`EplaceConfig::fast`] (default) instead of the paper
     /// preset.
     pub fast: bool,
-    /// Kernel worker threads (default 1, the bit-reproducible serial path).
+    /// Kernel worker threads (default 1; every value gives the same bits).
     pub threads: usize,
     /// Placer seed override.
     pub seed: Option<u64>,

@@ -17,7 +17,7 @@
 //!
 //! A plan carries tables only. How a 2-D transform splits its row and
 //! column passes over workers is decided per call by
-//! [`eplace_exec::for_each_unit_pooled`] from the transform's own
+//! [`eplace_exec::for_each_span`] from the transform's own
 //! `ExecConfig`, so the cache holds no per-thread-count state.
 //!
 //! Sharing cannot change numerics: plan construction is deterministic, so a

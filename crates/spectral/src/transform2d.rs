@@ -1,7 +1,7 @@
 use crate::dct::DctScratch;
 use crate::{DctPlan, Pow2, SpectralPlan};
 use eplace_errors::EplaceError;
-use eplace_exec::{for_each_unit_pooled, ExecConfig};
+use eplace_exec::{for_each_span, ExecConfig};
 use eplace_obs::Obs;
 
 /// Which 1-D kernel a pass applies along an axis.
@@ -39,12 +39,13 @@ enum Kernel {
 /// into the final store, saving one full-grid pass per synthesis while
 /// computing the identical `v·scale` products.
 ///
-/// With [`Transform2d::set_exec`] the row pass, both transposes, and the
-/// column pass each go through [`for_each_unit_pooled`], the exec layer's
-/// static split of disjoint units over scoped workers. Every parallel unit
-/// (one row or one column) is written by exactly one worker, so the result
-/// is bitwise identical for every thread count, including the serial
-/// default. The transform starts no threads of its own.
+/// With [`Transform2d::set_exec`] set above one thread the row pass, both
+/// transposes, and the column pass each go through [`for_each_span`], the
+/// exec layer's static split of whole rows or columns over workers. Every
+/// row and column is written by exactly one worker, so the result is
+/// bitwise identical for every thread count. A single thread keeps the
+/// strided in-place path, which computes the same bits without the
+/// transposes. The transform starts no threads of its own.
 ///
 /// # Examples
 ///
@@ -272,51 +273,67 @@ impl Transform2d {
         let mut unit_pool: Vec<()> = Vec::new();
         let exec = &self.exec;
         let plan_x = &self.plan_x;
-        for_each_unit_pooled(
+        for_each_span(
             exec,
-            data,
-            nx,
+            ny,
+            &mut data[..],
+            |rows, head| rows.split_at_mut(head.len() * nx),
             &mut self.pool_x,
             || DctScratch::new(nx),
-            |_, row, scratch| Self::run_kernel(plan_x, kernel_x, row, 0, 1, 1.0, scratch),
+            |_, rows, scratch| {
+                for row in rows.chunks_exact_mut(nx) {
+                    Self::run_kernel(plan_x, kernel_x, row, 0, 1, 1.0, scratch);
+                }
+            },
         );
         {
             let src: &[f64] = data;
-            for_each_unit_pooled(
+            for_each_span(
                 exec,
-                &mut self.transpose_buf,
-                ny,
+                nx,
+                &mut self.transpose_buf[..],
+                |cols, head| cols.split_at_mut(head.len() * ny),
                 &mut unit_pool,
                 || (),
-                |ix, col, _| {
-                    for (iy, v) in col.iter_mut().enumerate() {
-                        *v = src[iy * nx + ix];
+                |cols, buf, _| {
+                    for (ix, col) in cols.zip(buf.chunks_exact_mut(ny)) {
+                        for (iy, v) in col.iter_mut().enumerate() {
+                            *v = src[iy * nx + ix];
+                        }
                     }
                 },
             );
         }
         let plan_y = &self.plan_y;
-        for_each_unit_pooled(
+        for_each_span(
             exec,
-            &mut self.transpose_buf,
-            ny,
+            nx,
+            &mut self.transpose_buf[..],
+            |cols, head| cols.split_at_mut(head.len() * ny),
             &mut self.pool_y,
             || DctScratch::new(ny),
-            |_, col, scratch| Self::run_kernel(plan_y, kernel_y, col, 0, 1, 1.0, scratch),
+            |_, cols, scratch| {
+                for col in cols.chunks_exact_mut(ny) {
+                    Self::run_kernel(plan_y, kernel_y, col, 0, 1, 1.0, scratch);
+                }
+            },
         );
         // Transpose back with the caller's scale fused into the copy:
         // `v·scale` is the identical product the separate post-pass would
         // compute, and `·1.0` is a bitwise identity for the unscaled calls.
         let src: &[f64] = &self.transpose_buf;
-        for_each_unit_pooled(
+        for_each_span(
             exec,
+            ny,
             data,
-            nx,
+            |rows, head| rows.split_at_mut(head.len() * nx),
             &mut unit_pool,
             || (),
-            |iy, row, _| {
-                for (ix, v) in row.iter_mut().enumerate() {
-                    *v = src[ix * ny + iy] * scale;
+            |rows, buf, _| {
+                for (iy, row) in rows.zip(buf.chunks_exact_mut(nx)) {
+                    for (ix, v) in row.iter_mut().enumerate() {
+                        *v = src[ix * ny + iy] * scale;
+                    }
                 }
             },
         );

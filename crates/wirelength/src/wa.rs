@@ -1,5 +1,5 @@
 use crate::SmoothWirelength;
-use eplace_exec::{deterministic_chunks, for_each_chunk_pooled, ExecConfig};
+use eplace_exec::{for_each_span, ExecConfig};
 use eplace_geometry::Point;
 use eplace_netlist::{Design, Net};
 use eplace_obs::Obs;
@@ -23,16 +23,6 @@ impl NetScratch {
             coords: vec![0.0; max_degree],
             grad_x: vec![0.0; max_degree],
             grad_y: vec![0.0; max_degree],
-        }
-    }
-
-    fn reserve(&mut self, degree: usize) {
-        if self.exp_pos.len() < degree {
-            self.exp_pos.resize(degree, 0.0);
-            self.exp_neg.resize(degree, 0.0);
-            self.coords.resize(degree, 0.0);
-            self.grad_x.resize(degree, 0.0);
-            self.grad_y.resize(degree, 0.0);
         }
     }
 
@@ -81,19 +71,18 @@ impl NetScratch {
         s_pos / d_pos - s_neg / d_neg
     }
 
-    /// Weighted smooth length of `net`, accumulating per-cell derivatives
-    /// into `grad` when provided. The caller skips nets with fewer than two
-    /// pins.
+    /// Weighted smooth length of `net`, writing each pin's weighted
+    /// derivative `w·∂/∂(x, y)` into `pin_grad` (one entry per pin, in pin
+    /// order) when provided. The caller skips nets with fewer than two pins.
     fn net_value(
         &mut self,
         net: &Net,
         pos: &[Point],
         gamma: f64,
-        grad: Option<&mut [Point]>,
+        pin_grad: Option<&mut [Point]>,
     ) -> f64 {
         let k = net.pins.len();
-        self.reserve(k);
-        let want = grad.is_some();
+        let want = pin_grad.is_some();
         let w = net.weight;
         for (j, pin) in net.pins.iter().enumerate() {
             self.coords[j] = pos[pin.cell.index()].x + pin.offset.x;
@@ -103,44 +92,12 @@ impl NetScratch {
             self.coords[j] = pos[pin.cell.index()].y + pin.offset.y;
         }
         let wy = self.axis_value(k, gamma, want, true);
-        if let Some(g) = grad {
-            for (j, pin) in net.pins.iter().enumerate() {
-                let slot = &mut g[pin.cell.index()];
-                slot.x += w * self.grad_x[j];
-                slot.y += w * self.grad_y[j];
+        if let Some(out) = pin_grad {
+            for (j, slot) in out.iter_mut().enumerate() {
+                *slot = Point::new(w * self.grad_x[j], w * self.grad_y[j]);
             }
         }
         w * (wx + wy)
-    }
-}
-
-/// Pooled per-chunk state for the parallel evaluation: one worker scratch
-/// plus the chunk's partial gradient vector and running total. The pool
-/// lives on the model, so steady-state gradient calls allocate nothing.
-#[derive(Debug, Clone)]
-struct WaChunkScratch {
-    scratch: NetScratch,
-    grad: Vec<Point>,
-    total: f64,
-}
-
-impl WaChunkScratch {
-    fn new(max_degree: usize) -> Self {
-        WaChunkScratch {
-            scratch: NetScratch::with_degree(max_degree),
-            grad: Vec::new(),
-            total: 0.0,
-        }
-    }
-
-    /// Prepares for a fresh chunk: zeroes the total and sizes/zeroes the
-    /// gradient accumulator (`None` when no gradient is wanted), exactly
-    /// reproducing a freshly allocated chunk state. `NetScratch` itself
-    /// needs no reset — every entry is written before it is read.
-    fn reset(&mut self, slots: Option<usize>) {
-        self.total = 0.0;
-        self.grad.clear();
-        self.grad.resize(slots.unwrap_or(0), Point::ORIGIN);
     }
 }
 
@@ -164,33 +121,80 @@ impl WaChunkScratch {
 /// computation allocation-free — wirelength gradients are 29 % of mGP
 /// runtime in the paper (Fig. 7), so the hot path matters.
 ///
-/// With [`WaModel::set_exec`] the per-net loop fans out across worker
-/// threads: nets are split into chunks whose boundaries depend only on the
-/// net count, each chunk accumulates into its own scratch gradient, and the
-/// partials are reduced in chunk order — so results are identical for every
-/// thread count ≥ 2 and within rounding (`≤ 1e-9` relative) of the serial
-/// path. A design with at most 256 nets is a single chunk and runs the
-/// serial loop at any thread count. The serial default reproduces the
-/// historical code bit-for-bit.
+/// Evaluation runs in two passes, each output element with one owner. The
+/// net pass gives every worker a range of nets and writes each net's value
+/// and each pin's weighted derivative; the cell pass gives every worker a
+/// range of cells, and each cell sums its pins' derivatives in (net, pin)
+/// order. The total sums the net values in net order. Both sums run in the
+/// serial order whatever the split, so [`WaModel::set_exec`] changes how
+/// many threads run, never the bits.
+///
+/// The model is tied to the design it was built for: its net→pin offsets
+/// and cell→pin lists are built once in [`WaModel::new`], and evaluating a
+/// design with another cell count, net count or net degree panics.
 #[derive(Debug, Clone)]
 pub struct WaModel {
-    scratch: NetScratch,
     max_degree: usize,
-    /// Scratch pool for the chunked parallel path (empty until first used).
-    chunk_pool: Vec<WaChunkScratch>,
+    /// Per-worker scratch for the net pass, one slot per worker.
+    pool: Vec<NetScratch>,
+    /// Net `n`'s pins are entries `net_pins[n]..net_pins[n + 1]` of `pin_grad`.
+    net_pins: Vec<usize>,
+    /// Cell `c`'s pins on nets of degree ≥ 2, in (net, pin) order, are
+    /// `cell_pins[cell_start[c]..cell_start[c + 1]]`.
+    cell_start: Vec<usize>,
+    cell_pins: Vec<u32>,
+    /// `w·∂W̃/∂(x, y)` of every pin, written by the net pass.
+    pin_grad: Vec<Point>,
+    /// Weighted smooth length of every net (0 below two pins).
+    net_value: Vec<f64>,
     exec: ExecConfig,
     obs: Obs,
 }
 
 impl WaModel {
-    /// Creates a model with scratch space sized for `design`'s largest net
-    /// (serial execution; see [`WaModel::set_exec`]).
+    /// Creates a model for `design`: scratch space sized for its largest
+    /// net and its pin layout (serial execution; see [`WaModel::set_exec`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the design has more than `u32::MAX` pins.
     pub fn new(design: &Design) -> Self {
         let max_degree = design.nets.iter().map(Net::degree).max().unwrap_or(0);
+        let mut net_pins = Vec::with_capacity(design.nets.len() + 1);
+        net_pins.push(0);
+        let mut cell_start = vec![0usize; design.cells.len() + 1];
+        for net in &design.nets {
+            net_pins.push(net_pins[net_pins.len() - 1] + net.pins.len());
+            if net.pins.len() >= 2 {
+                for pin in &net.pins {
+                    cell_start[pin.cell.index() + 1] += 1;
+                }
+            }
+        }
+        for c in 0..design.cells.len() {
+            cell_start[c + 1] += cell_start[c];
+        }
+        let pins = net_pins[design.nets.len()];
+        assert!(u32::try_from(pins).is_ok(), "{pins} pins exceed u32");
+        let mut fill = cell_start.clone();
+        let mut cell_pins = vec![0u32; cell_start[design.cells.len()]];
+        for (net, &first) in design.nets.iter().zip(&net_pins) {
+            if net.pins.len() >= 2 {
+                for (j, pin) in net.pins.iter().enumerate() {
+                    let c = pin.cell.index();
+                    cell_pins[fill[c]] = (first + j) as u32;
+                    fill[c] += 1;
+                }
+            }
+        }
         WaModel {
-            scratch: NetScratch::with_degree(max_degree),
             max_degree,
-            chunk_pool: Vec::new(),
+            pool: Vec::new(),
+            net_pins,
+            cell_start,
+            cell_pins,
+            pin_grad: vec![Point::ORIGIN; pins],
+            net_value: vec![0.0; design.nets.len()],
             exec: ExecConfig::serial(),
             obs: Obs::disabled(),
         }
@@ -225,88 +229,88 @@ impl WaModel {
         design: &Design,
         pos: &[Point],
         gamma: f64,
-        mut grad: Option<&mut [Point]>,
+        grad: Option<&mut [Point]>,
     ) -> f64 {
-        if let Some(g) = grad.as_deref_mut() {
-            for p in g.iter_mut() {
-                *p = Point::ORIGIN;
-            }
-        }
-        // Chunk boundaries depend only on the net count (never the thread
-        // count): they fix the floating-point reduction order. One chunk is
-        // the serial sum started from zero, so it takes the serial loop.
-        let chunks = deterministic_chunks(design.nets.len(), 256, 8);
-        if self.exec.is_serial() || chunks == 1 {
-            self.run_serial(design, pos, gamma, grad)
-        } else {
-            self.run_parallel(design, pos, gamma, chunks, grad)
-        }
-    }
-
-    /// The historical single-threaded loop, using the object-owned scratch.
-    fn run_serial(
-        &mut self,
-        design: &Design,
-        pos: &[Point],
-        gamma: f64,
-        mut grad: Option<&mut [Point]>,
-    ) -> f64 {
-        let mut total = 0.0;
-        for net in &design.nets {
-            if net.pins.len() < 2 {
-                continue;
-            }
-            total += self.scratch.net_value(net, pos, gamma, grad.as_deref_mut());
-        }
-        total
-    }
-
-    /// Chunked fan-out over nets with ordered reduction of the per-chunk
-    /// totals and gradient vectors.
-    fn run_parallel(
-        &mut self,
-        design: &Design,
-        pos: &[Point],
-        gamma: f64,
-        chunks: usize,
-        mut grad: Option<&mut [Point]>,
-    ) -> f64 {
-        let want = grad.is_some();
-        let slots = grad.as_deref().map_or(0, |g| g.len());
-        let max_degree = self.max_degree;
-        let exec = self.exec;
-        for_each_chunk_pooled(
-            &exec,
+        let cells = self.cell_start.len() - 1;
+        assert!(
+            design.cells.len() == cells
+                && design.nets.len() == self.net_value.len()
+                && design
+                    .nets
+                    .iter()
+                    .zip(self.net_pins.windows(2))
+                    .all(|(net, pins)| net.pins.len() == pins[1] - pins[0]),
+            "WA model built for {cells} cells, {} nets and {} pins, \
+             called on a design of {} cells, {} nets and {} pins",
+            self.net_value.len(),
+            self.pin_grad.len(),
+            design.cells.len(),
             design.nets.len(),
-            chunks,
-            &mut self.chunk_pool,
-            || WaChunkScratch::new(max_degree),
-            |_, range, state| {
-                state.reset(want.then_some(slots));
-                let WaChunkScratch {
-                    scratch,
-                    grad,
-                    total,
-                } = state;
-                let mut local = want.then_some(&mut grad[..]);
-                for net in &design.nets[range] {
-                    if net.pins.len() < 2 {
-                        continue;
-                    }
-                    *total += scratch.net_value(net, pos, gamma, local.as_deref_mut());
+            design.nets.iter().map(Net::degree).sum::<usize>(),
+        );
+        let WaModel {
+            max_degree,
+            pool,
+            net_pins,
+            cell_start,
+            cell_pins,
+            pin_grad,
+            net_value,
+            exec,
+            ..
+        } = self;
+        let want = grad.is_some();
+        let net_pins: &[usize] = net_pins;
+        for_each_span(
+            exec,
+            design.nets.len(),
+            (&mut pin_grad[..], &mut net_value[..]),
+            |(pins, values), head| {
+                let (pins_head, pins_tail) =
+                    pins.split_at_mut(net_pins[head.end] - net_pins[head.start]);
+                let (values_head, values_tail) = values.split_at_mut(head.len());
+                ((pins_head, values_head), (pins_tail, values_tail))
+            },
+            pool,
+            || NetScratch::with_degree(*max_degree),
+            |nets, (pins, values), scratch| {
+                let base = net_pins[nets.start];
+                for (n, value) in nets.zip(values) {
+                    let net = &design.nets[n];
+                    *value = if net.pins.len() < 2 {
+                        0.0
+                    } else {
+                        let out = &mut pins[net_pins[n] - base..net_pins[n + 1] - base];
+                        scratch.net_value(net, pos, gamma, want.then_some(out))
+                    };
                 }
             },
         );
-        let mut total = 0.0;
-        for state in self.chunk_pool.iter().take(chunks) {
-            total += state.total;
-            if let Some(g) = grad.as_deref_mut() {
-                for (dst, src) in g.iter_mut().zip(&state.grad) {
-                    *dst += *src;
-                }
-            }
+        if let Some(grad) = grad {
+            let (grad, rest) = grad.split_at_mut(cells);
+            rest.fill(Point::ORIGIN);
+            let pin_grad: &[Point] = pin_grad;
+            for_each_span(
+                exec,
+                cells,
+                grad,
+                |grad, head| grad.split_at_mut(head.len()),
+                &mut Vec::new(),
+                || (),
+                |cells, grad, _| {
+                    for (c, g) in cells.zip(grad) {
+                        let mut sum = Point::ORIGIN;
+                        for &pin in &cell_pins[cell_start[c]..cell_start[c + 1]] {
+                            let d = pin_grad[pin as usize];
+                            sum.x += d.x;
+                            sum.y += d.y;
+                        }
+                        *g = sum;
+                    }
+                },
+            );
         }
-        total
+        net_value.iter().fold(0.0, |total, v| total + v)
     }
 }
 
@@ -475,7 +479,7 @@ mod tests {
         assert!((w - 48.0).abs() < 1e-6);
     }
 
-    /// A many-net design; above 256 nets it spans several WA chunks.
+    /// A many-net design whose cells sit on several nets each.
     fn mesh_design(n_cells: usize) -> (Design, Vec<Point>) {
         let mut b = DesignBuilder::new("mesh", Rect::new(0.0, 0.0, 1000.0, 1000.0));
         let ids: Vec<_> = (0..n_cells)
@@ -497,78 +501,68 @@ mod tests {
         (d, pos)
     }
 
+    fn assert_bitwise(a: &[Point], b: &[Point], threads: usize) {
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(a.x.to_bits(), b.x.to_bits(), "threads {threads}");
+            assert_eq!(a.y.to_bits(), b.y.to_bits(), "threads {threads}");
+        }
+    }
+
+    /// Every net value and every cell's sum has one owner that adds its
+    /// terms in the serial order, so any split is bitwise serial.
     #[test]
-    fn parallel_gradient_matches_serial_within_rounding() {
+    fn parallel_gradient_is_bitwise_serial() {
         let (d, pos) = mesh_design(400);
         let gamma = 4.0;
         let mut serial = WaModel::new(&d);
         let mut gs = vec![Point::ORIGIN; pos.len()];
         let ws = serial.gradient(&d, &pos, gamma, &mut gs);
-        for threads in [2usize, 4] {
+        for threads in [2usize, 4, 7] {
             let mut par = WaModel::new(&d).with_exec(ExecConfig::with_threads(threads));
             let mut gp = vec![Point::ORIGIN; pos.len()];
             let wp = par.gradient(&d, &pos, gamma, &mut gp);
-            assert!(
-                (ws - wp).abs() <= 1e-9 * ws.abs().max(1.0),
-                "threads {threads}"
-            );
-            for (a, b) in gs.iter().zip(&gp) {
-                let scale = a.norm().max(1.0);
-                assert!((*a - *b).norm() <= 1e-9 * scale, "threads {threads}");
-            }
+            assert_eq!(ws.to_bits(), wp.to_bits(), "threads {threads}");
+            assert_bitwise(&gs, &gp, threads);
         }
     }
 
     #[test]
-    fn repeated_parallel_gradients_reuse_pool_and_stay_bitwise_stable() {
+    fn repeated_parallel_gradients_stay_bitwise_stable() {
         let (d, pos) = mesh_design(400);
         let mut wa = WaModel::new(&d).with_exec(ExecConfig::with_threads(4));
         let mut g1 = vec![Point::ORIGIN; pos.len()];
         let w1 = wa.gradient(&d, &pos, 4.0, &mut g1);
-        let pool_len = wa.chunk_pool.len();
-        assert!(pool_len > 0, "parallel run should have built a pool");
-        // A gradient-free evaluation in between shrinks the pooled gradient
-        // accumulators to zero length; the next gradient must re-grow and
-        // re-zero them correctly.
+        // A gradient-free evaluation in between leaves stale pin
+        // derivatives behind; the next gradient must overwrite them.
         let _ = wa.evaluate(&d, &pos, 4.0);
-        let mut g2 = vec![Point::ORIGIN; pos.len()];
+        let mut g2 = vec![Point::new(9.0, 9.0); pos.len()];
         let w2 = wa.gradient(&d, &pos, 4.0, &mut g2);
-        assert_eq!(wa.chunk_pool.len(), pool_len, "pool should be reused");
         assert_eq!(w1.to_bits(), w2.to_bits());
-        for (a, b) in g1.iter().zip(&g2) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
-        }
+        assert_bitwise(&g1, &g2, 4);
     }
 
     #[test]
-    fn single_chunk_parallel_run_is_bitwise_serial() {
-        // 200 nets make one chunk, which runs the serial loop at any thread
-        // count: same bits, and no chunk pool is built.
+    fn small_parallel_run_is_bitwise_serial() {
+        // Gradient and plain evaluation, plus a buffer longer than the
+        // design, whose tail is zeroed.
         let (d, pos) = mesh_design(200);
-        assert_eq!(deterministic_chunks(d.nets.len(), 256, 8), 1);
         let run = |exec: ExecConfig| {
             let mut wa = WaModel::new(&d).with_exec(exec);
-            let mut g = vec![Point::ORIGIN; pos.len()];
+            let mut g = vec![Point::new(1.0, 1.0); pos.len() + 3];
             let w = wa.gradient(&d, &pos, 3.0, &mut g);
             let e = wa.evaluate(&d, &pos, 3.0);
-            assert!(wa.chunk_pool.is_empty());
             (w, e, g)
         };
         let (ws, es, gs) = run(ExecConfig::serial());
+        assert!(gs[pos.len()..].iter().all(|g| *g == Point::ORIGIN));
         let (wp, ep, gp) = run(ExecConfig::with_threads(4));
         assert_eq!(ws.to_bits(), wp.to_bits());
         assert_eq!(es.to_bits(), ep.to_bits());
-        for (a, b) in gs.iter().zip(&gp) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
-        }
+        assert_bitwise(&gs, &gp, 4);
     }
 
     #[test]
     fn parallel_gradient_is_thread_count_invariant() {
-        // The chunk layout depends only on the net count, so every thread
-        // count ≥ 2 must produce the same bits.
         let (d, pos) = mesh_design(300);
         let run = |threads: usize| {
             let mut wa = WaModel::new(&d).with_exec(ExecConfig::with_threads(threads));
@@ -577,13 +571,33 @@ mod tests {
             (w, g)
         };
         let (w2, g2) = run(2);
-        for threads in [3usize, 5, 8] {
+        for threads in [1usize, 3, 5, 8, 400] {
             let (w, g) = run(threads);
             assert_eq!(w.to_bits(), w2.to_bits(), "threads {threads}");
-            for (a, b) in g.iter().zip(&g2) {
-                assert_eq!(a.x.to_bits(), b.x.to_bits(), "threads {threads}");
-                assert_eq!(a.y.to_bits(), b.y.to_bits(), "threads {threads}");
-            }
+            assert_bitwise(&g, &g2, threads);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "WA model built for")]
+    fn gradient_rejects_a_design_with_another_net_count() {
+        let (d, pos) = mesh_design(50);
+        let mut wa = WaModel::new(&d);
+        let (mut other, _) = mesh_design(50);
+        other.nets.pop();
+        let mut g = vec![Point::ORIGIN; pos.len()];
+        wa.gradient(&other, &pos, 3.0, &mut g);
+    }
+
+    #[test]
+    #[should_panic(expected = "WA model built for")]
+    fn gradient_rejects_a_design_with_another_pin_count() {
+        let (d, pos) = mesh_design(50);
+        let mut wa = WaModel::new(&d);
+        let (mut other, _) = mesh_design(50);
+        let extra = other.nets[1].pins[0];
+        other.nets[0].pins.push(extra);
+        let mut g = vec![Point::ORIGIN; pos.len()];
+        wa.gradient(&other, &pos, 3.0, &mut g);
     }
 }

@@ -81,8 +81,8 @@ fn parse_args() -> Result<Args, String> {
                      [--demo N_CELLS] [--fast] [--trace-csv FILE] [--threads N] \
                      [--journal FILE.jsonl] [--metrics-summary] [--routability]\n\
                      \n\
-                     --threads 1 (default) is the exact serial placer; N >= 2 \
-                     parallelizes the kernels deterministically; 0 auto-detects.\n\
+                     --threads 1 (default) runs the kernels on one thread, N on N \
+                     threads, 0 on one per core; every value gives the same result.\n\
                      --journal writes one JSONL record per optimizer iteration plus \
                      an end-of-run summary (validate with the obs_check binary);\n\
                      --metrics-summary prints the per-phase runtime table after the \

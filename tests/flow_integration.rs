@@ -115,11 +115,12 @@ fn trace_is_structurally_sound() {
 #[test]
 fn flow_is_thread_count_invariant_where_every_parallel_branch_runs() {
     // Large enough that inside `Placer::run` the density deposit, the WA
-    // pass and the Poisson solve all split their work: more than 4,096
-    // movables plus fillers give the 128² grid, and the object and net
-    // counts span several deposit and WA chunks. The run still goes through
-    // mLG, the filler phase and cGP; the iteration cap keeps debug builds
-    // quick.
+    // passes and the Poisson solve all split their work: more than 4,096
+    // movables plus fillers give the 128² grid, whose rows, nets and cells
+    // are shared over up to eight workers. The run still goes through mLG,
+    // the filler phase and cGP; the iteration cap keeps debug builds quick.
+    // The serial run (`threads = 1`) must give the same bits as every
+    // parallel one.
     let design = || {
         BenchmarkConfig::mms_like("it_threads", 506, 1.0, 6)
             .scale(2200)
@@ -158,7 +159,7 @@ fn flow_is_thread_count_invariant_where_every_parallel_branch_runs() {
         (trace, report.final_hpwl.to_bits())
     };
     let two = run(2);
-    for threads in [3, 8] {
+    for threads in [1, 3, 8] {
         assert!(
             run(threads) == two,
             "threads {threads} moved the trajectory"

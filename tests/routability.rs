@@ -127,9 +127,10 @@ fn routability_mode_is_deterministic_across_runs() {
 
 #[test]
 fn routability_mode_is_thread_count_invariant() {
-    // Any threads >= 2 must give one deterministic result independent of
-    // the actual worker count (the router's phase 1 reduces in fixed chunk
-    // order; phase 2 and the inflation rule are serial by construction).
+    // Every thread count, serial included, must give one result (the
+    // placement kernels give each output element one owner, the router's
+    // phase 1 merges fixed chunks in chunk order, and phase 2 and the
+    // inflation rule are serial by construction).
     let key = |report: &eplace_repro::core::PlacementReport| {
         let out = report.routability.as_ref().expect("mode on");
         (
@@ -140,10 +141,10 @@ fn routability_mode_is_thread_count_invariant() {
         )
     };
     let (_, two) = run(94, Some(scarce_routability()), 2);
-    let (_, three) = run(94, Some(scarce_routability()), 3);
-    let (_, eight) = run(94, Some(scarce_routability()), 8);
-    assert_eq!(key(&two), key(&three));
-    assert_eq!(key(&two), key(&eight));
+    for threads in [1, 3, 8] {
+        let (_, other) = run(94, Some(scarce_routability()), threads);
+        assert_eq!(key(&two), key(&other), "threads {threads}");
+    }
 }
 
 #[test]
