@@ -64,9 +64,7 @@ impl GlobalPlacer for CgPlacer {
             let mut cost = EplaceCost::new(design, &problem, dim, dim, false);
             let mut pos = problem.positions(design);
             cost.init_lambda(&pos);
-            let hpwl_init = cost.hpwl(&pos).max(1.0);
-            let delta_ref = cfg.delta_hpwl_ref_frac * hpwl_init;
-            let mut prev_hpwl = hpwl_init;
+            cost.start_schedule(&pos, &cfg);
 
             let mut g = vec![Point::ORIGIN; n];
             let mut g_prev = vec![Point::ORIGIN; n];
@@ -142,16 +140,9 @@ impl GlobalPlacer for CgPlacer {
                     }
                 }
 
-                // Identical schedules to ePlace.
+                // ePlace's own schedule step.
                 let hpwl = cost.hpwl(&pos);
-                cost.update_lambda(
-                    hpwl - prev_hpwl,
-                    delta_ref,
-                    cfg.lambda_mu_min,
-                    cfg.lambda_mu_max,
-                );
-                cost.update_gamma();
-                prev_hpwl = hpwl;
+                cost.step_schedule(hpwl, &cfg);
                 if cost.last_overflow <= self.target_overflow && iter >= 15 {
                     break;
                 }

@@ -19,8 +19,9 @@
 //!    at any instant leaves either the previous or the new checkpoint on
 //!    disk, never a torn one.
 
+use crate::cost::GpSchedule;
 use crate::nesterov::NesterovCheckpoint;
-use crate::recover::GpCheckpoint;
+use crate::recover::{BestSolution, GpCheckpoint};
 use eplace_errors::EplaceError;
 use eplace_geometry::Point;
 use std::path::Path;
@@ -127,18 +128,19 @@ impl<'a> Cursor<'a> {
 
 /// Encodes `ck` into the versioned, checksummed binary format.
 pub fn checkpoint_to_bytes(ck: &GpCheckpoint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(128 + 16 * 6 * ck.best_pos.len());
+    let mut buf = Vec::with_capacity(128 + 16 * 6 * ck.best.pos.len());
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     put_u64(&mut buf, ck.iteration as u64);
-    put_f64(&mut buf, ck.lambda);
-    put_f64(&mut buf, ck.gamma);
-    put_f64(&mut buf, ck.prev_hpwl);
-    put_f64(&mut buf, ck.hpwl_init);
-    put_f64(&mut buf, ck.delta_ref);
-    put_f64(&mut buf, ck.best_overflow);
-    put_u64(&mut buf, ck.best_iter as u64);
-    put_points(&mut buf, &ck.best_pos);
+    let sched = &ck.schedule;
+    put_f64(&mut buf, sched.lambda);
+    put_f64(&mut buf, sched.gamma);
+    put_f64(&mut buf, sched.prev_hpwl);
+    put_f64(&mut buf, sched.hpwl_init);
+    put_f64(&mut buf, sched.delta_ref);
+    put_f64(&mut buf, ck.best.overflow);
+    put_u64(&mut buf, ck.best.iteration as u64);
+    put_points(&mut buf, &ck.best.pos);
     let opt = &ck.optimizer;
     put_points(&mut buf, &opt.u);
     put_points(&mut buf, &opt.v);
@@ -199,64 +201,37 @@ fn decode(bytes: &[u8]) -> Result<GpCheckpoint, String> {
         bytes: &bytes[..body_end],
         at: header,
     };
-    let iteration = cur.take_usize("iteration")?;
-    let lambda = cur.take_f64()?;
-    let gamma = cur.take_f64()?;
-    let prev_hpwl = cur.take_f64()?;
-    let hpwl_init = cur.take_f64()?;
-    let delta_ref = cur.take_f64()?;
-    let best_overflow = cur.take_f64()?;
-    let best_iter = cur.take_usize("best_iter")?;
-    let best_pos = cur.take_points("best_pos")?;
-    let u = cur.take_points("optimizer.u")?;
-    let v = cur.take_points("optimizer.v")?;
-    let v_prev = cur.take_points("optimizer.v_prev")?;
-    let g = cur.take_points("optimizer.g")?;
-    let g_prev = cur.take_points("optimizer.g_prev")?;
-    let a = cur.take_f64()?;
-    let last_alpha = cur.take_f64()?;
-    let steps = cur.take_usize("steps")?;
-    let total_backtracks = cur.take_usize("total_backtracks")?;
-    cur.done()?;
-
-    let n = best_pos.len();
-    for (name, vec) in [
-        ("optimizer.u", &u),
-        ("optimizer.v", &v),
-        ("optimizer.v_prev", &v_prev),
-        ("optimizer.g", &g),
-        ("optimizer.g_prev", &g_prev),
-    ] {
-        if vec.len() != n {
-            return Err(format!(
-                "{name} holds {} points but best_pos holds {n}",
-                vec.len()
-            ));
-        }
-    }
-
-    Ok(GpCheckpoint {
-        iteration,
-        lambda,
-        gamma,
-        prev_hpwl,
-        hpwl_init,
-        delta_ref,
-        best_overflow,
-        best_iter,
-        best_pos,
-        optimizer: NesterovCheckpoint {
-            u,
-            v,
-            v_prev,
-            g,
-            g_prev,
-            a,
-            last_alpha,
-            steps,
-            total_backtracks,
+    // Struct-literal fields evaluate in source order: the read order below
+    // is the write order of `checkpoint_to_bytes`.
+    let ck = GpCheckpoint {
+        iteration: cur.take_usize("iteration")?,
+        schedule: GpSchedule {
+            lambda: cur.take_f64()?,
+            gamma: cur.take_f64()?,
+            prev_hpwl: cur.take_f64()?,
+            hpwl_init: cur.take_f64()?,
+            delta_ref: cur.take_f64()?,
         },
-    })
+        best: BestSolution {
+            overflow: cur.take_f64()?,
+            iteration: cur.take_usize("best_iter")?,
+            pos: cur.take_points("best_pos")?,
+        },
+        optimizer: NesterovCheckpoint {
+            u: cur.take_points("optimizer.u")?,
+            v: cur.take_points("optimizer.v")?,
+            v_prev: cur.take_points("optimizer.v_prev")?,
+            g: cur.take_points("optimizer.g")?,
+            g_prev: cur.take_points("optimizer.g_prev")?,
+            a: cur.take_f64()?,
+            last_alpha: cur.take_f64()?,
+            steps: cur.take_usize("steps")?,
+            total_backtracks: cur.take_usize("total_backtracks")?,
+        },
+    };
+    cur.done()?;
+    ck.check_len(ck.best.pos.len())?;
+    Ok(ck)
 }
 
 /// Persists `ck` to `path` atomically (write temp + fsync + rename): a crash
@@ -299,14 +274,18 @@ mod tests {
         };
         GpCheckpoint {
             iteration: 42,
-            lambda: 1.25e-4,
-            gamma: 80.5,
-            prev_hpwl: 1.0e6 + 1.0 / 3.0,
-            hpwl_init: 9.0e5,
-            delta_ref: 2.7e4,
-            best_overflow: 0.173_256,
-            best_iter: 39,
-            best_pos: pts(1.0),
+            schedule: GpSchedule {
+                lambda: 1.25e-4,
+                gamma: 80.5,
+                prev_hpwl: 1.0e6 + 1.0 / 3.0,
+                hpwl_init: 9.0e5,
+                delta_ref: 2.7e4,
+            },
+            best: BestSolution {
+                overflow: 0.173_256,
+                iteration: 39,
+                pos: pts(1.0),
+            },
             optimizer: NesterovCheckpoint {
                 u: pts(2.0),
                 v: pts(3.0),
@@ -319,6 +298,27 @@ mod tests {
                 total_backtracks: 17,
             },
         }
+    }
+
+    /// Pins the v1 byte layout: round trips alone pass for any
+    /// self-consistent reordering of the fields.
+    #[test]
+    fn format_v1_bytes_are_pinned() {
+        assert_eq!(
+            fnv1a64(&checkpoint_to_bytes(&sample(3))),
+            0xd26f_e5aa_ddf0_e272
+        );
+    }
+
+    #[test]
+    fn mismatched_vector_lengths_are_rejected() {
+        let ck = sample(3);
+        let bytes = checkpoint_to_bytes(&ck);
+        assert!(checkpoint_from_bytes(&bytes, "<memory>").is_ok());
+        let mut short = ck;
+        short.optimizer.g.pop();
+        let err = checkpoint_from_bytes(&checkpoint_to_bytes(&short), "<memory>").unwrap_err();
+        assert!(err.to_string().contains("optimizer.g holds 2"), "{err}");
     }
 
     #[test]
@@ -386,10 +386,10 @@ mod tests {
     #[test]
     fn non_finite_floats_survive_the_round_trip() {
         let mut ck = sample(2);
-        ck.best_overflow = f64::INFINITY; // the pre-loop checkpoint really holds this
+        ck.best.overflow = f64::INFINITY; // the pre-loop checkpoint really holds this
         let bytes = checkpoint_to_bytes(&ck);
         let loaded = checkpoint_from_bytes(&bytes, "<memory>").unwrap();
-        assert_eq!(loaded.best_overflow, f64::INFINITY);
+        assert_eq!(loaded.best.overflow, f64::INFINITY);
         assert_eq!(checkpoint_to_bytes(&loaded), bytes);
     }
 }

@@ -1,6 +1,6 @@
 use crate::nesterov::Gradient;
 use crate::recover::GradientFault;
-use crate::PlacementProblem;
+use crate::{EplaceConfig, PlacementProblem};
 use eplace_density::DensityGrid;
 use eplace_exec::ExecConfig;
 use eplace_geometry::Point;
@@ -8,11 +8,33 @@ use eplace_netlist::Design;
 use eplace_obs::Obs;
 use eplace_wirelength::{GammaSchedule, SmoothWirelength, WaModel};
 
+/// The λ/γ schedule of a global-placement stage: the penalty factor and
+/// the WA smoothing parameter the cost evaluates with, plus the memory of
+/// the μ update of λ. One `Copy` value, so a checkpoint, a rollback and a
+/// resume each copy it whole.
+///
+/// [`EplaceCost::start_schedule`] anchors it and
+/// [`EplaceCost::step_schedule`] advances it once per iteration; ePlace's
+/// Nesterov loop and the CG baseline both call exactly these two.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct GpSchedule {
+    /// Penalty factor λ.
+    pub lambda: f64,
+    /// Smoothing parameter γ.
+    pub gamma: f64,
+    /// HPWL of the previous iteration (input to the μ update of λ).
+    pub prev_hpwl: f64,
+    /// Stage-initial HPWL (also anchors the divergence threshold).
+    pub hpwl_init: f64,
+    /// ΔHPWL normalization of the μ rule.
+    pub delta_ref: f64,
+}
+
 /// The ePlace cost `f(v) = W̃(v) + λ·N(v)` (Eq. 4) with the preconditioned
 /// gradient `∇f_pre = (|E_i| + λ·q_i)⁻¹·∇f` (Eq. 11–13).
 ///
-/// Owns the WA wirelength model, the electrostatic grid, the γ schedule and
-/// the penalty factor λ; implements [`Gradient`] so the
+/// Owns the WA wirelength model, the electrostatic grid and the λ/γ
+/// [`GpSchedule`]; implements [`Gradient`] so the
 /// [`crate::NesterovOptimizer`] can drive it. Its spans (see
 /// [`EplaceCost::set_obs`]) carry the paper's Figure 7 mGP breakdown.
 pub struct EplaceCost<'a> {
@@ -20,11 +42,9 @@ pub struct EplaceCost<'a> {
     problem: &'a PlacementProblem,
     wa: WaModel,
     grid: DensityGrid,
-    schedule: GammaSchedule,
-    /// Penalty factor λ.
-    pub lambda: f64,
-    /// Current smoothing parameter γ.
-    pub gamma: f64,
+    gamma_rule: GammaSchedule,
+    /// The λ/γ schedule every evaluation reads.
+    pub schedule: GpSchedule,
     /// Density overflow τ at the last gradient evaluation.
     pub last_overflow: f64,
     precondition: bool,
@@ -52,7 +72,7 @@ impl<'a> EplaceCost<'a> {
         for cell in design.cells.iter().filter(|c| c.fixed) {
             grid.add_fixed(cell.rect());
         }
-        let schedule = GammaSchedule::new(grid.bin_width().max(grid.bin_height()));
+        let gamma_rule = GammaSchedule::new(grid.bin_width().max(grid.bin_height()));
         let full_pos: Vec<Point> = design.cells.iter().map(|c| c.pos).collect();
         let n = design.cells.len();
         EplaceCost {
@@ -60,9 +80,11 @@ impl<'a> EplaceCost<'a> {
             problem,
             wa: WaModel::new(design),
             grid,
-            schedule,
-            lambda: 0.0,
-            gamma: schedule.gamma(1.0),
+            gamma_rule,
+            schedule: GpSchedule {
+                gamma: gamma_rule.gamma(1.0),
+                ..GpSchedule::default()
+            },
             last_overflow: 1.0,
             precondition,
             full_pos,
@@ -129,12 +151,13 @@ impl<'a> EplaceCost<'a> {
         // Evaluate both raw gradients once, reusing the owned full-design
         // gradient buffer (the WA model zeroes it before accumulating).
         self.sync_full(pos);
+        let gamma = self.schedule.gamma;
         self.wa
-            .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
+            .gradient(self.design, &self.full_pos, gamma, &mut self.full_grad);
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
         self.last_overflow = self.grid.overflow();
-        self.gamma = self.schedule.gamma(self.last_overflow);
+        self.schedule.gamma = self.gamma_rule.gamma(self.last_overflow);
         let mut wl_l1 = 0.0;
         let mut den_l1 = 0.0;
         for (k, &ci) in self.problem.movable.iter().enumerate() {
@@ -143,42 +166,56 @@ impl<'a> EplaceCost<'a> {
             let dg = self.grid.gradient(&self.problem.objects[k], pos[k]);
             den_l1 += dg.x.abs() + dg.y.abs();
         }
-        self.lambda = if den_l1 > 1e-30 && wl_l1 > 1e-30 {
+        self.schedule.lambda = if den_l1 > 1e-30 && wl_l1 > 1e-30 {
             wl_l1 / den_l1
         } else {
             // Pure-density problems (the filler-only phase: no nets, so no
             // wirelength gradient) still need a positive λ to move at all.
             1.0
         };
-        self.lambda
+        self.schedule.lambda
     }
 
+    /// Anchors the μ rule of the schedule at the start positions `pos`: the
+    /// stage-initial HPWL (also the previous-HPWL memory) and the ΔHPWL
+    /// reference `delta_hpwl_ref_frac ×` that HPWL. λ and γ are left as
+    /// they are. This is the one place the reference rule lives.
+    pub fn start_schedule(&mut self, pos: &[Point], cfg: &EplaceConfig) {
+        let hpwl = self.hpwl(pos).max(1.0);
+        self.schedule.hpwl_init = hpwl;
+        self.schedule.prev_hpwl = hpwl;
+        self.schedule.delta_ref = cfg.delta_hpwl_ref_frac * hpwl;
+    }
+
+    /// One iteration of the schedule, given the HPWL the iteration reached.
+    ///
     /// The μ update of λ: `μ = μ_max^(1 − ΔHPWL/Δref)` clamped into
     /// `[μ_min, μ_max]` — aggressive (×1.1) while wirelength holds steady,
-    /// backing off (×0.75) when HPWL degrades fast. `delta_hpwl` is
-    /// `HPWL_k − HPWL_{k−1}`; `delta_ref` the normalization.
-    pub fn update_lambda(&mut self, delta_hpwl: f64, delta_ref: f64, mu_min: f64, mu_max: f64) {
-        let x = 1.0 - delta_hpwl / delta_ref.max(1e-12);
-        let mu = mu_max.powf(x).clamp(mu_min, mu_max);
-        self.lambda *= mu;
+    /// backing off (×0.75) when HPWL degrades fast. Then γ is refreshed from
+    /// the last observed overflow, and `hpwl` becomes the previous-HPWL
+    /// memory.
+    pub fn step_schedule(&mut self, hpwl: f64, cfg: &EplaceConfig) {
+        let s = &mut self.schedule;
+        let x = 1.0 - (hpwl - s.prev_hpwl) / s.delta_ref.max(1e-12);
+        s.lambda *= cfg
+            .lambda_mu_max
+            .powf(x)
+            .clamp(cfg.lambda_mu_min, cfg.lambda_mu_max);
         // λ going non-finite means ΔHPWL already diverged; the gp sentinel
         // handles it in release builds, so a hard assert is debug-only.
         debug_assert!(
-            self.lambda >= 0.0 || self.lambda.is_nan(),
+            s.lambda >= 0.0 || s.lambda.is_nan(),
             "lambda went negative: {}",
-            self.lambda
+            s.lambda
         );
-    }
-
-    /// Refreshes γ from the last observed overflow.
-    pub fn update_gamma(&mut self) {
-        self.gamma = self.schedule.gamma(self.last_overflow);
+        s.gamma = self.gamma_rule.gamma(self.last_overflow);
         debug_assert!(
-            self.gamma > 0.0 || !self.last_overflow.is_finite(),
+            s.gamma > 0.0 || !self.last_overflow.is_finite(),
             "gamma collapsed: {} (overflow {})",
-            self.gamma,
+            s.gamma,
             self.last_overflow
         );
+        s.prev_hpwl = hpwl;
     }
 
     /// The objective value `f(v) = W̃(v) + λ·N(v)` (Eq. 4) at `pos`.
@@ -193,14 +230,15 @@ impl<'a> EplaceCost<'a> {
         self.last_overflow = self.grid.overflow();
         let energy = self.grid.total_energy();
         self.sync_full(pos);
-        self.wa.evaluate(self.design, &self.full_pos, self.gamma) + self.lambda * energy
+        let GpSchedule { lambda, gamma, .. } = self.schedule;
+        self.wa.evaluate(self.design, &self.full_pos, gamma) + lambda * energy
     }
 
     /// Exact HPWL at a movable-solution `pos` (fixed cells at their design
     /// positions).
     pub fn hpwl(&mut self, pos: &[Point]) -> f64 {
         self.sync_full(pos);
-        eplace_wirelength::hpwl(self.design, &self.full_pos)
+        self.design.hpwl_with_positions(&self.full_pos)
     }
 
     /// Bin-based object overlap `O` at the last evaluation: area that
@@ -220,6 +258,7 @@ impl Gradient for EplaceCost<'_> {
     fn gradient(&mut self, pos: &[Point], grad: &mut [Point]) {
         self.evaluations += 1;
         self.obs.add("grad_evals_total", 1);
+        let GpSchedule { lambda, gamma, .. } = self.schedule;
         // Density: deposit + spectral solve (57 % of mGP in the paper).
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
@@ -228,7 +267,7 @@ impl Gradient for EplaceCost<'_> {
         // Wirelength (29 %).
         self.sync_full(pos);
         self.wa
-            .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
+            .gradient(self.design, &self.full_pos, gamma, &mut self.full_grad);
 
         // Combine + precondition. Field sampling is physically part of the
         // density component, so Figure 7 books this span there.
@@ -236,9 +275,9 @@ impl Gradient for EplaceCost<'_> {
         for (k, &ci) in self.problem.movable.iter().enumerate() {
             let wl = self.full_grad[ci];
             let dg = self.grid.gradient(&self.problem.objects[k], pos[k]);
-            let mut g = wl + dg * self.lambda;
+            let mut g = wl + dg * lambda;
             if self.precondition {
-                let h = (self.problem.degrees[k] + self.lambda * self.problem.charges[k]).max(1.0);
+                let h = (self.problem.degrees[k] + lambda * self.problem.charges[k]).max(1.0);
                 g = g * (1.0 / h);
             }
             if !g.is_finite() {
@@ -359,15 +398,34 @@ mod tests {
     #[test]
     fn lambda_update_direction() {
         let (d, p) = setup();
+        let cfg = EplaceConfig::default();
         let mut cost = EplaceCost::new(&d, &p, 32, 32, true);
-        cost.lambda = 1.0;
+        cost.schedule.lambda = 1.0;
+        cost.schedule.prev_hpwl = 5.0;
+        cost.schedule.delta_ref = 100.0;
         // HPWL flat → aggressive ×1.1.
-        cost.update_lambda(0.0, 100.0, 0.75, 1.1);
-        assert!((cost.lambda - 1.1).abs() < 1e-12);
+        cost.step_schedule(5.0, &cfg);
+        assert!((cost.schedule.lambda - 1.1).abs() < 1e-12);
         // HPWL rising fast → back off to ×0.75.
-        cost.lambda = 1.0;
-        cost.update_lambda(1e9, 100.0, 0.75, 1.1);
-        assert!((cost.lambda - 0.75).abs() < 1e-12);
+        cost.schedule.lambda = 1.0;
+        cost.step_schedule(1e9, &cfg);
+        assert!((cost.schedule.lambda - 0.75).abs() < 1e-12);
+        assert_eq!(cost.schedule.prev_hpwl, 1e9, "step remembers the HPWL");
+    }
+
+    #[test]
+    fn start_schedule_anchors_the_reference_at_the_start_hpwl() {
+        let (d, p) = setup();
+        let cfg = EplaceConfig::default();
+        let mut cost = EplaceCost::new(&d, &p, 32, 32, true);
+        let pos = p.positions(&d);
+        let lambda0 = cost.init_lambda(&pos);
+        cost.start_schedule(&pos, &cfg);
+        let s = cost.schedule;
+        assert_eq!(s.hpwl_init, d.hpwl());
+        assert_eq!(s.prev_hpwl, s.hpwl_init);
+        assert_eq!(s.delta_ref, cfg.delta_hpwl_ref_frac * s.hpwl_init);
+        assert_eq!(s.lambda, lambda0, "anchoring leaves λ alone");
     }
 
     #[test]
@@ -412,12 +470,14 @@ mod tests {
     #[test]
     fn gamma_follows_overflow() {
         let (d, p) = setup();
+        let cfg = EplaceConfig::default();
         let mut cost = EplaceCost::new(&d, &p, 32, 32, true);
+        cost.schedule.delta_ref = 1.0;
         cost.last_overflow = 1.0;
-        cost.update_gamma();
-        let high = cost.gamma;
+        cost.step_schedule(0.0, &cfg);
+        let high = cost.schedule.gamma;
         cost.last_overflow = 0.1;
-        cost.update_gamma();
-        assert!(cost.gamma < high);
+        cost.step_schedule(0.0, &cfg);
+        assert!(cost.schedule.gamma < high);
     }
 }

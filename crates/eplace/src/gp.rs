@@ -1,5 +1,5 @@
 use crate::cost::EplaceCost;
-use crate::recover::{sentinel_check, GpCheckpoint};
+use crate::recover::{sentinel_check, BestSolution, GpCheckpoint};
 use crate::trace::{IterationRecord, Stage};
 use crate::{EplaceConfig, NesterovOptimizer, PlacementProblem};
 use eplace_density::{grid_dimension, CongestionMap};
@@ -95,16 +95,8 @@ pub fn run_global_placement(
     max_iterations: Option<usize>,
     trace: &mut Vec<IterationRecord>,
 ) -> Result<GpOutcome, EplaceError> {
-    run_guarded(
-        design,
-        problem,
-        cfg,
-        stage,
-        lambda_init,
-        max_iterations,
-        None,
-        trace,
-    )
+    let start = Start::Fresh { lambda_init };
+    run_guarded(design, problem, cfg, stage, start, max_iterations, trace)
 }
 
 /// Continues a global-placement run from a [`GpCheckpoint`] previously
@@ -119,8 +111,9 @@ pub fn run_global_placement(
 ///
 /// # Errors
 ///
-/// [`EplaceError::Validation`] when the checkpoint does not match the
-/// problem size; [`EplaceError::Diverged`] as for [`run_global_placement`].
+/// [`EplaceError::Validation`] when any position or gradient vector of the
+/// checkpoint does not match the problem size; [`EplaceError::Diverged`] as
+/// for [`run_global_placement`].
 pub fn resume_global_placement(
     design: &mut Design,
     problem: &PlacementProblem,
@@ -130,51 +123,50 @@ pub fn resume_global_placement(
     max_iterations: Option<usize>,
     trace: &mut Vec<IterationRecord>,
 ) -> Result<GpOutcome, EplaceError> {
-    if checkpoint.optimizer.u.len() != problem.len() || checkpoint.best_pos.len() != problem.len() {
+    if let Err(message) = checkpoint.check_len(problem.len()) {
         return Err(EplaceError::Validation {
             issues: vec![ValidationIssue {
                 severity: Severity::Error,
                 subject: "resume checkpoint".into(),
-                message: format!(
-                    "checkpoint holds {} movables but the problem has {}",
-                    checkpoint.optimizer.u.len(),
-                    problem.len()
-                ),
+                message: format!("{message} (the problem has {} movables)", problem.len()),
                 repaired: false,
             }],
         });
     }
-    run_guarded(
-        design,
-        problem,
-        cfg,
-        stage,
-        None,
-        max_iterations,
-        Some(checkpoint),
-        trace,
-    )
+    let start = Start::Resume(checkpoint);
+    run_guarded(design, problem, cfg, stage, start, max_iterations, trace)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Where a guarded run starts: a fresh calibration, optionally with λ₀
+/// overridden, or a checkpoint (whose λ it keeps).
+enum Start<'c> {
+    Fresh { lambda_init: Option<f64> },
+    Resume(&'c GpCheckpoint),
+}
+
 fn run_guarded(
     design: &mut Design,
     problem: &PlacementProblem,
     cfg: &EplaceConfig,
     stage: Stage,
-    lambda_init: Option<f64>,
+    start: Start<'_>,
     max_iterations: Option<usize>,
-    resume: Option<&GpCheckpoint>,
     trace: &mut Vec<IterationRecord>,
 ) -> Result<GpOutcome, EplaceError> {
     let obs = cfg.obs.clone();
     let _stage_span = obs.span(stage.key());
     if problem.is_empty() {
+        let lambda_last = match start {
+            Start::Fresh {
+                lambda_init: Some(l),
+            } => l,
+            _ => 0.0,
+        };
         return Ok(GpOutcome {
             iterations: 0,
             final_overflow: 0.0,
             final_hpwl: design.hpwl(),
-            lambda_last: lambda_init.unwrap_or(0.0),
+            lambda_last,
             total_backtracks: 0,
             backtracks_per_iteration: 0.0,
             converged: true,
@@ -190,25 +182,15 @@ fn run_guarded(
         .with_obs(obs.clone());
     cost.fault = cfg.fault;
 
-    let (
-        mut optimizer,
-        hpwl_init,
-        delta_ref,
-        mut prev_hpwl,
-        mut iter,
-        mut best_pos,
-        mut best_overflow,
-        mut best_iter,
-    );
-    match resume {
-        None => {
+    let (mut optimizer, mut iter, mut best) = match start {
+        Start::Fresh { lambda_init } => {
             let pos0 = problem.positions(design);
             let lambda0 = cost.init_lambda(&pos0);
             if let Some(l) = lambda_init {
-                cost.lambda = l.max(1e-3 * lambda0);
+                cost.schedule.lambda = l.max(1e-3 * lambda0);
             }
             let perturb = 0.1 * cost.bin_width();
-            optimizer = NesterovOptimizer::new(
+            let optimizer = NesterovOptimizer::new(
                 pos0,
                 &mut cost,
                 cfg.epsilon,
@@ -216,50 +198,33 @@ fn run_guarded(
                 cfg.enable_backtracking,
                 perturb,
             );
-            hpwl_init = cost.hpwl(optimizer.solution()).max(1.0);
-            delta_ref = cfg.delta_hpwl_ref_frac * hpwl_init;
-            prev_hpwl = hpwl_init;
-            iter = 0;
-            best_pos = optimizer.solution().to_vec();
-            best_overflow = f64::INFINITY;
-            best_iter = 0;
+            cost.start_schedule(optimizer.solution(), cfg);
+            let best = BestSolution {
+                overflow: f64::INFINITY,
+                iteration: 0,
+                pos: optimizer.solution().to_vec(),
+            };
+            (optimizer, 0, best)
         }
-        Some(ck) => {
-            optimizer = NesterovOptimizer::from_checkpoint(
+        Start::Resume(ck) => {
+            cost.schedule = ck.schedule;
+            let optimizer = NesterovOptimizer::from_checkpoint(
                 ck.optimizer.clone(),
                 cfg.epsilon,
                 cfg.max_backtracks,
                 cfg.enable_backtracking,
             );
-            cost.lambda = ck.lambda;
-            cost.gamma = ck.gamma;
-            hpwl_init = ck.hpwl_init;
-            delta_ref = ck.delta_ref;
-            prev_hpwl = ck.prev_hpwl;
-            iter = ck.iteration;
-            best_pos = ck.best_pos.clone();
-            best_overflow = ck.best_overflow;
-            best_iter = ck.best_iter;
+            (optimizer, ck.iteration, ck.best.clone())
         }
-    }
+    };
     optimizer.set_obs(obs.clone());
 
     // Rollback anchor: the most recent known-good state. Starts at the
     // pre-loop state so even an iteration-0 fault has somewhere to land.
-    let mut ck = snapshot(
-        iter,
-        &cost,
-        &optimizer,
-        prev_hpwl,
-        hpwl_init,
-        delta_ref,
-        best_overflow,
-        best_iter,
-        &best_pos,
-    );
+    let mut ck = checkpoint(iter, &cost, &optimizer, &best);
     let mut ck_trace_len = trace.len();
 
-    let hpwl_limit = DIVERGENCE_HPWL_FACTOR * hpwl_init;
+    let hpwl_limit = DIVERGENCE_HPWL_FACTOR * cost.schedule.hpwl_init;
     let stall_window = (cfg.min_iterations * 4).max(60);
     let mut iterations = 0;
     let mut converged = false;
@@ -273,7 +238,7 @@ fn run_guarded(
         // diverged exit.
         if cfg.cancel.is_cancelled() {
             drop(cost);
-            problem.apply(design, &best_pos);
+            problem.apply(design, &best.pos);
             return Err(EplaceError::Cancelled {
                 stage: stage.to_string(),
                 iteration: iter,
@@ -293,7 +258,7 @@ fn run_guarded(
             DIVERGENCE_MIN_ALPHA,
             hpwl,
             overflow,
-            cost.lambda,
+            cost.schedule.lambda,
             hpwl_limit,
         ) {
             recoveries += 1;
@@ -310,9 +275,9 @@ fn run_guarded(
             if recoveries > RECOVERY_RETRIES {
                 // Retry budget exhausted: commit the best placement seen and
                 // surface a structured report instead of poisoned positions.
-                let best_hpwl = cost.hpwl(&best_pos);
+                let best_hpwl = cost.hpwl(&best.pos);
                 drop(cost);
-                problem.apply(design, &best_pos);
+                problem.apply(design, &best.pos);
                 return Err(EplaceError::Diverged(DivergenceReport {
                     stage: stage.to_string(),
                     iteration: iter,
@@ -320,19 +285,15 @@ fn run_guarded(
                     retry_budget: RECOVERY_RETRIES,
                     reason,
                     best_hpwl,
-                    best_overflow,
+                    best_overflow: best.overflow,
                 }));
             }
             // Roll back to the last good checkpoint, clamp the steplength,
             // re-anchor λ/γ, and replay.
             optimizer.restore(&ck.optimizer);
             optimizer.scale_alpha(RECOVERY_ALPHA_SCALE);
-            cost.lambda = ck.lambda;
-            cost.gamma = ck.gamma;
-            prev_hpwl = ck.prev_hpwl;
-            best_overflow = ck.best_overflow;
-            best_iter = ck.best_iter;
-            best_pos.copy_from_slice(&ck.best_pos);
+            cost.schedule = ck.schedule;
+            best.clone_from(&ck.best);
             trace.truncate(ck_trace_len);
             iter = ck.iteration;
             continue;
@@ -343,8 +304,8 @@ fn run_guarded(
             hpwl,
             overflow,
             overlap: cost.overlap_area(),
-            lambda: cost.lambda,
-            gamma: cost.gamma,
+            lambda: cost.schedule.lambda,
+            gamma: cost.schedule.gamma,
             alpha: info.alpha,
             backtracks: info.backtracks,
         };
@@ -381,72 +342,45 @@ fn run_guarded(
         // grid's noise floor on small instances, or a diverging run), λ
         // keeps ratcheting and wirelength degrades without bound — keep the
         // lowest-overflow solution seen and stop after a stagnation window.
-        if overflow < best_overflow - 1e-4 {
-            best_overflow = overflow;
-            best_iter = iter;
-            best_pos.copy_from_slice(optimizer.solution());
+        if overflow < best.overflow - 1e-4 {
+            best.overflow = overflow;
+            best.iteration = iter;
+            best.pos.copy_from_slice(optimizer.solution());
         }
-        cost.update_lambda(
-            hpwl - prev_hpwl,
-            delta_ref,
-            cfg.lambda_mu_min,
-            cfg.lambda_mu_max,
-        );
-        cost.update_gamma();
-        prev_hpwl = hpwl;
+        cost.step_schedule(hpwl, cfg);
         if overflow <= cfg.target_overflow && iter + 1 >= cfg.min_iterations {
             converged = true;
-            best_pos.copy_from_slice(optimizer.solution());
+            best.pos.copy_from_slice(optimizer.solution());
             iter += 1;
             break;
         }
-        if iter > best_iter + stall_window {
+        if iter > best.iteration + stall_window {
             iter += 1;
             break; // stagnated above the target — keep the best snapshot
         }
         iter += 1;
         if iter % CHECKPOINT_INTERVAL == 0 {
-            ck = snapshot(
-                iter,
-                &cost,
-                &optimizer,
-                prev_hpwl,
-                hpwl_init,
-                delta_ref,
-                best_overflow,
-                best_iter,
-                &best_pos,
-            );
+            ck = checkpoint(iter, &cost, &optimizer, &best);
             ck_trace_len = trace.len();
         }
     }
 
-    let final_ck = snapshot(
-        iter,
-        &cost,
-        &optimizer,
-        prev_hpwl,
-        hpwl_init,
-        delta_ref,
-        best_overflow,
-        best_iter,
-        &best_pos,
-    );
-    let lambda_last = cost.lambda;
+    let final_ck = checkpoint(iter, &cost, &optimizer, &best);
+    let lambda_last = cost.schedule.lambda;
     let final_overflow = if converged {
         cost.last_overflow
     } else {
-        best_overflow.min(cost.last_overflow)
+        best.overflow.min(cost.last_overflow)
     };
     drop(cost);
-    problem.apply(design, &best_pos);
+    problem.apply(design, &best.pos);
 
     Ok(GpOutcome {
         iterations,
         final_overflow,
         final_hpwl: design.hpwl(),
         lambda_last,
-        total_backtracks: optimizer.total_backtracks,
+        total_backtracks: optimizer.total_backtracks(),
         backtracks_per_iteration: optimizer.backtracks_per_step(),
         converged,
         recoveries,
@@ -454,29 +388,20 @@ fn run_guarded(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn snapshot(
+/// Copies the loop's three state values — the cost's schedule, the
+/// optimizer's trajectory and the best-solution tracker — into a checkpoint
+/// that resumes at `iteration`.
+fn checkpoint(
     iteration: usize,
     cost: &EplaceCost,
     optimizer: &NesterovOptimizer,
-    prev_hpwl: f64,
-    hpwl_init: f64,
-    delta_ref: f64,
-    best_overflow: f64,
-    best_iter: usize,
-    best_pos: &[eplace_geometry::Point],
+    best: &BestSolution,
 ) -> GpCheckpoint {
     GpCheckpoint {
         iteration,
-        lambda: cost.lambda,
-        gamma: cost.gamma,
-        prev_hpwl,
-        hpwl_init,
-        delta_ref,
-        best_overflow,
-        best_iter,
-        best_pos: best_pos.to_vec(),
-        optimizer: optimizer.checkpoint(),
+        schedule: cost.schedule,
+        best: best.clone(),
+        optimizer: optimizer.checkpoint().clone(),
     }
 }
 
@@ -683,6 +608,9 @@ mod tests {
         );
     }
 
+    /// Every position and gradient vector of a resumed checkpoint is
+    /// checked against the problem size: a short one is a typed error, not
+    /// an out-of-bounds panic inside the optimizer step.
     #[test]
     fn resume_rejects_mismatched_checkpoint() {
         let mut d = BenchmarkConfig::ispd05_like("gp", 69).scale(200).generate();
@@ -700,16 +628,29 @@ mod tests {
             &mut trace,
         )
         .unwrap();
-        let mut ck = out.checkpoint.unwrap();
-        ck.best_pos.pop();
-        ck.optimizer.u.pop();
-        let err =
-            resume_global_placement(&mut d, &problem, &cfg, Stage::Mgp, &ck, None, &mut trace)
-                .unwrap_err();
-        assert!(matches!(err, EplaceError::Validation { .. }));
+        let ck = out.checkpoint.unwrap();
+        let shorten: [fn(&mut GpCheckpoint) -> &mut Vec<eplace_geometry::Point>; 6] = [
+            |c| &mut c.best.pos,
+            |c| &mut c.optimizer.u,
+            |c| &mut c.optimizer.v,
+            |c| &mut c.optimizer.v_prev,
+            |c| &mut c.optimizer.g,
+            |c| &mut c.optimizer.g_prev,
+        ];
+        for (k, field) in shorten.iter().enumerate() {
+            let mut bad = ck.clone();
+            field(&mut bad).pop();
+            let err =
+                resume_global_placement(&mut d, &problem, &cfg, Stage::Mgp, &bad, None, &mut trace)
+                    .unwrap_err();
+            assert!(
+                matches!(err, EplaceError::Validation { .. }),
+                "vector {k}: {err}"
+            );
+        }
     }
 
-    /// The `threads` knob must never make the placer nondeterministic:
+    /// The `threads` knob must never make the placer nondeterministic.
     /// Every thread count gives the serial trajectory, run after run: each
     /// kernel output element has one owner that adds its terms in the
     /// serial order, whatever the split.

@@ -53,14 +53,14 @@ mod trace;
 
 pub use cancel::CancelToken;
 pub use ckpt::{checkpoint_from_bytes, checkpoint_to_bytes, load_checkpoint, save_checkpoint};
-pub use cost::EplaceCost;
+pub use cost::{EplaceCost, GpSchedule};
 pub use fillers::insert_fillers;
 pub use gp::{resume_global_placement, run_global_placement, GpOutcome};
 pub use mip::{initial_placement, quadratic_solve, Anchor, MipReport};
 pub use nesterov::{Gradient, NesterovCheckpoint, NesterovOptimizer, StepInfo};
 pub use placer::{detail_placement, macro_legalization, CdpOutcome, PlacementReport, Placer};
 pub use problem::PlacementProblem;
-pub use recover::{FaultKind, GpCheckpoint, GradientFault};
+pub use recover::{BestSolution, FaultKind, GpCheckpoint, GradientFault};
 pub use routability::{RoutabilityConfig, RoutabilityOutcome};
 pub use trace::{
     trace_endpoints, trace_to_csv, trace_to_csv_checked, validate_trace, IterationRecord, Stage,
@@ -120,7 +120,10 @@ pub struct EplaceConfig {
     /// must sit well above the per-iteration HPWL noise so that μ stays
     /// near its 1.1 ceiling on quiet iterations and only dips on real
     /// degradations — 3 % of the initial HPWL reproduces that regime on
-    /// the reduced-scale benchmarks.
+    /// the reduced-scale benchmarks. At 4k cells and above it stalls mGP:
+    /// the clustered mIP start makes the reference tiny next to the
+    /// per-iteration ΔHPWL while cells spread, so μ sits near 1, λ starves
+    /// and the target overflow is never reached (DESIGN.md §7, deviation 2).
     pub delta_hpwl_ref_frac: f64,
     /// Worker threads for the density, spectral and wirelength kernels (the
     /// paper's §VIII "acceleration via parallel computation"). `1` (the

@@ -33,11 +33,14 @@ pub struct StepInfo {
     pub backtracks: usize,
 }
 
-/// A full snapshot of the optimizer's trajectory state — everything the next
-/// [`NesterovOptimizer::step`] reads. Restoring one rewinds the optimizer
-/// bit-for-bit (the divergence sentinel's rollback) and
-/// [`NesterovOptimizer::from_checkpoint`] rebuilds an optimizer from one
-/// without re-evaluating any gradients (the resumable-placement path).
+/// The optimizer's trajectory — everything the next
+/// [`NesterovOptimizer::step`] reads, plus the two work counters. The
+/// optimizer keeps its state as one of these, so
+/// [`NesterovOptimizer::checkpoint`] lends it out whole,
+/// [`NesterovOptimizer::restore`] rewinds to one bit-for-bit (the divergence
+/// sentinel's rollback), and [`NesterovOptimizer::from_checkpoint`] rebuilds
+/// an optimizer from one without re-evaluating any gradients (the resume
+/// path).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NesterovCheckpoint {
     /// Major solution u.
@@ -67,22 +70,10 @@ pub struct NesterovCheckpoint {
 /// State of Nesterov's method over a `Vec<Point>` solution.
 #[derive(Debug, Clone)]
 pub struct NesterovOptimizer {
-    /// Major solution u (the output sequence).
-    u: Vec<Point>,
-    /// Reference solution v (where gradients are taken).
-    v: Vec<Point>,
-    v_prev: Vec<Point>,
-    g: Vec<Point>,
-    g_prev: Vec<Point>,
-    a: f64,
+    state: NesterovCheckpoint,
     epsilon: f64,
     max_backtracks: usize,
     backtracking: bool,
-    last_alpha: f64,
-    /// Total backtracks since construction (for the §V-C statistic).
-    pub total_backtracks: usize,
-    /// Steps taken.
-    pub steps: usize,
     scratch_u: Vec<Point>,
     scratch_v: Vec<Point>,
     scratch_g: Vec<Point>,
@@ -133,24 +124,18 @@ impl NesterovOptimizer {
         cost.project(&mut v_prev);
         let mut g_prev = vec![Point::ORIGIN; n];
         cost.gradient(&v_prev, &mut g_prev);
-        NesterovOptimizer {
+        let bootstrap = NesterovCheckpoint {
             u: init.clone(),
             v: init,
             v_prev,
             g,
             g_prev,
             a: 1.0,
-            epsilon,
-            max_backtracks,
-            backtracking,
             last_alpha: 1.0,
-            total_backtracks: 0,
             steps: 0,
-            scratch_u: vec![Point::ORIGIN; n],
-            scratch_v: vec![Point::ORIGIN; n],
-            scratch_g: vec![Point::ORIGIN; n],
-            obs: Obs::disabled(),
-        }
+            total_backtracks: 0,
+        };
+        Self::from_checkpoint(bootstrap, epsilon, max_backtracks, backtracking)
     }
 
     /// Rebuilds an optimizer from a [`NesterovCheckpoint`] without any
@@ -164,20 +149,13 @@ impl NesterovOptimizer {
     ) -> Self {
         let n = ck.u.len();
         NesterovOptimizer {
-            u: ck.u,
-            v: ck.v,
-            v_prev: ck.v_prev,
-            g: ck.g,
-            g_prev: ck.g_prev,
-            a: ck.a,
+            // The checkpointed work counters come along: a split run must
+            // report the same cumulative steps/backtracks as an
+            // uninterrupted one.
+            state: ck,
             epsilon,
             max_backtracks,
             backtracking,
-            last_alpha: ck.last_alpha,
-            // Adopt the checkpointed work counters: a split run must report
-            // the same cumulative steps/backtracks as an uninterrupted one.
-            total_backtracks: ck.total_backtracks,
-            steps: ck.steps,
             scratch_u: vec![Point::ORIGIN; n],
             scratch_v: vec![Point::ORIGIN; n],
             scratch_g: vec![Point::ORIGIN; n],
@@ -192,19 +170,9 @@ impl NesterovOptimizer {
         self.obs = obs;
     }
 
-    /// Snapshots the trajectory state (for rollback or resume).
-    pub fn checkpoint(&self) -> NesterovCheckpoint {
-        NesterovCheckpoint {
-            u: self.u.clone(),
-            v: self.v.clone(),
-            v_prev: self.v_prev.clone(),
-            g: self.g.clone(),
-            g_prev: self.g_prev.clone(),
-            a: self.a,
-            last_alpha: self.last_alpha,
-            steps: self.steps,
-            total_backtracks: self.total_backtracks,
-        }
+    /// The trajectory state (copy it for a rollback anchor or a resume).
+    pub fn checkpoint(&self) -> &NesterovCheckpoint {
+        &self.state
     }
 
     /// Rewinds the trajectory to `ck`. The live work counters
@@ -214,80 +182,85 @@ impl NesterovOptimizer {
     /// ignored here (only [`NesterovOptimizer::from_checkpoint`], the resume
     /// path, adopts them).
     pub fn restore(&mut self, ck: &NesterovCheckpoint) {
-        self.u.copy_from_slice(&ck.u);
-        self.v.copy_from_slice(&ck.v);
-        self.v_prev.copy_from_slice(&ck.v_prev);
-        self.g.copy_from_slice(&ck.g);
-        self.g_prev.copy_from_slice(&ck.g_prev);
-        self.a = ck.a;
-        self.last_alpha = ck.last_alpha;
+        let (steps, total_backtracks) = (self.state.steps, self.state.total_backtracks);
+        self.state.clone_from(ck);
+        self.state.steps = steps;
+        self.state.total_backtracks = total_backtracks;
     }
 
     /// Scales the remembered steplength by `factor` — the sentinel's α clamp
     /// after a rollback, so the retried trajectory moves more cautiously.
     pub fn scale_alpha(&mut self, factor: f64) {
-        if self.last_alpha.is_finite() && self.last_alpha > 0.0 {
-            self.last_alpha *= factor;
+        let alpha = &mut self.state.last_alpha;
+        if alpha.is_finite() && *alpha > 0.0 {
+            *alpha *= factor;
         } else {
-            self.last_alpha = factor;
+            *alpha = factor;
         }
     }
 
     /// The major solution `u` — what the paper outputs.
     pub fn solution(&self) -> &[Point] {
-        &self.u
+        &self.state.u
     }
 
-    /// The reference solution `v`.
-    pub fn reference(&self) -> &[Point] {
-        &self.v
+    /// Steps taken since construction (carried across a resume).
+    pub fn steps(&self) -> usize {
+        self.state.steps
+    }
+
+    /// Backtracks since construction, the §V-C statistic (carried across a
+    /// resume).
+    pub fn total_backtracks(&self) -> usize {
+        self.state.total_backtracks
     }
 
     /// Average backtracks per step (paper: 1.037 over the MMS suite).
     pub fn backtracks_per_step(&self) -> f64 {
-        if self.steps == 0 {
+        if self.state.steps == 0 {
             0.0
         } else {
-            self.total_backtracks as f64 / self.steps as f64
+            self.state.total_backtracks as f64 / self.state.steps as f64
         }
     }
 
     /// One iteration of Algorithm 1 (+ Algorithm 2 inside).
     pub fn step(&mut self, cost: &mut impl Gradient) -> StepInfo {
         let _span = self.obs.span("nesterov_step");
-        let a_next = 0.5 * (1.0 + (4.0 * self.a * self.a + 1.0).sqrt());
-        let coef = (self.a - 1.0) / a_next;
+        let st = &mut self.state;
+        let a_next = 0.5 * (1.0 + (4.0 * st.a * st.a + 1.0).sqrt());
+        let coef = (st.a - 1.0) / a_next;
 
         // Lipschitz prediction (Eq. 10). If the gradient did not change
         // (converged / degenerate), keep the previous steplength.
-        let num = norm_diff(&self.v, &self.v_prev);
-        let den = norm_diff(&self.g, &self.g_prev);
+        let num = norm_diff(&st.v, &st.v_prev);
+        let den = norm_diff(&st.g, &st.g_prev);
         let mut alpha = if den > 1e-30 {
             num / den
         } else {
-            self.last_alpha
+            st.last_alpha
         };
         if !alpha.is_finite() || alpha <= 0.0 {
-            alpha = self.last_alpha;
+            alpha = st.last_alpha;
         }
 
         let mut backtracks = 0;
         loop {
             // Trial u_{k+1} and v_{k+1}.
-            for i in 0..self.u.len() {
-                self.scratch_u[i] = self.v[i] - self.g[i] * alpha;
+            for i in 0..st.u.len() {
+                self.scratch_u[i] = st.v[i] - st.g[i] * alpha;
             }
             cost.project(&mut self.scratch_u);
-            for i in 0..self.u.len() {
-                self.scratch_v[i] = self.scratch_u[i] + (self.scratch_u[i] - self.u[i]) * coef;
+            for i in 0..st.u.len() {
+                self.scratch_v[i] = self.scratch_u[i] + (self.scratch_u[i] - st.u[i]) * coef;
             }
             cost.project(&mut self.scratch_v);
             cost.gradient(&self.scratch_v, &mut self.scratch_g);
             if !self.backtracking || backtracks >= self.max_backtracks {
                 break;
             }
-            let ref_num = norm_diff(&self.scratch_v, &self.v);
-            let ref_den = norm_diff(&self.scratch_g, &self.g);
+            let ref_num = norm_diff(&self.scratch_v, &st.v);
+            let ref_den = norm_diff(&self.scratch_g, &st.g);
             let alpha_ref = if ref_den > 1e-30 {
                 ref_num / ref_den
             } else {
@@ -308,15 +281,15 @@ impl NesterovOptimizer {
         }
 
         // Commit.
-        std::mem::swap(&mut self.u, &mut self.scratch_u);
-        std::mem::swap(&mut self.v_prev, &mut self.v);
-        std::mem::swap(&mut self.v, &mut self.scratch_v);
-        std::mem::swap(&mut self.g_prev, &mut self.g);
-        std::mem::swap(&mut self.g, &mut self.scratch_g);
-        self.a = a_next;
-        self.last_alpha = alpha;
-        self.steps += 1;
-        self.total_backtracks += backtracks;
+        std::mem::swap(&mut st.u, &mut self.scratch_u);
+        std::mem::swap(&mut st.v_prev, &mut st.v);
+        std::mem::swap(&mut st.v, &mut self.scratch_v);
+        std::mem::swap(&mut st.g_prev, &mut st.g);
+        std::mem::swap(&mut st.g, &mut self.scratch_g);
+        st.a = a_next;
+        st.last_alpha = alpha;
+        st.steps += 1;
+        st.total_backtracks += backtracks;
         self.obs.add("backtracks_total", backtracks as u64);
         StepInfo { alpha, backtracks }
     }
@@ -434,7 +407,7 @@ mod tests {
             let info = opt.step(&mut q);
             assert_eq!(info.backtracks, 0);
         }
-        assert_eq!(opt.total_backtracks, 0);
+        assert_eq!(opt.total_backtracks(), 0);
         // Quadratic cost has a constant Hessian — even without backtracking
         // the prediction is exact and it converges.
         assert!(error(&opt, &q) < 1e-4);
@@ -466,7 +439,7 @@ mod tests {
             total += opt.step(&mut f).backtracks;
         }
         assert!(total > 0, "expected at least one backtrack");
-        assert_eq!(total, opt.total_backtracks);
+        assert_eq!(total, opt.total_backtracks());
         assert!(opt.backtracks_per_step() > 0.0);
     }
 
@@ -504,7 +477,7 @@ mod tests {
         for _ in 0..5 {
             opt.step(&mut q);
         }
-        let ck = opt.checkpoint();
+        let ck = opt.checkpoint().clone();
         let mut straight = Vec::new();
         for _ in 0..5 {
             straight.push(opt.step(&mut q).alpha.to_bits());
@@ -526,8 +499,8 @@ mod tests {
         for _ in 0..5 {
             opt.step(&mut q);
         }
-        let ck = opt.checkpoint();
-        let mut resumed = NesterovOptimizer::from_checkpoint(ck, 0.95, 10, true);
+        let mut resumed =
+            NesterovOptimizer::from_checkpoint(opt.checkpoint().clone(), 0.95, 10, true);
         for _ in 0..5 {
             let a = opt.step(&mut q).alpha;
             let b = resumed.step(&mut q).alpha;
@@ -557,10 +530,10 @@ mod tests {
         for _ in 0..10 {
             opt.step(&mut f);
         }
-        assert!(opt.total_backtracks > 0, "test needs nonzero backtracks");
-        let resumed = NesterovOptimizer::from_checkpoint(opt.checkpoint(), 0.95, 10, true);
-        assert_eq!(resumed.steps, opt.steps);
-        assert_eq!(resumed.total_backtracks, opt.total_backtracks);
+        assert!(opt.total_backtracks() > 0, "test needs nonzero backtracks");
+        let resumed = NesterovOptimizer::from_checkpoint(opt.checkpoint().clone(), 0.95, 10, true);
+        assert_eq!(resumed.steps(), opt.steps());
+        assert_eq!(resumed.total_backtracks(), opt.total_backtracks());
         assert_eq!(
             resumed.backtracks_per_step().to_bits(),
             opt.backtracks_per_step().to_bits()
@@ -574,15 +547,15 @@ mod tests {
         for _ in 0..3 {
             opt.step(&mut q);
         }
-        let ck = opt.checkpoint();
+        let ck = opt.checkpoint().clone();
         for _ in 0..4 {
             opt.step(&mut q);
         }
         opt.restore(&ck);
         // Rollback measures effort spent: 7 steps happened, not 3.
-        assert_eq!(opt.steps, 7);
+        assert_eq!(opt.steps(), 7);
         opt.step(&mut q);
-        assert_eq!(opt.steps, 8);
+        assert_eq!(opt.steps(), 8);
     }
 
     #[test]
@@ -663,13 +636,13 @@ mod tests {
         let (mut q, init) = setup();
         let mut opt = NesterovOptimizer::new(init, &mut q, 0.95, 10, true, 0.1);
         opt.step(&mut q);
-        let before = opt.last_alpha;
+        let before = opt.state.last_alpha;
         opt.scale_alpha(0.1);
-        assert!((opt.last_alpha - 0.1 * before).abs() <= 1e-18 * before.abs());
+        assert!((opt.state.last_alpha - 0.1 * before).abs() <= 1e-18 * before.abs());
         // A poisoned steplength resets to the factor itself.
-        opt.last_alpha = f64::NAN;
+        opt.state.last_alpha = f64::NAN;
         opt.scale_alpha(0.25);
-        assert_eq!(opt.last_alpha, 0.25);
+        assert_eq!(opt.state.last_alpha, 0.25);
     }
 
     #[test]
@@ -678,6 +651,6 @@ mod tests {
         let mut opt = NesterovOptimizer::new(init, &mut q, 0.95, 10, true, 0.1);
         // a₀ = 1 → a₁ = (1+√5)/2.
         opt.step(&mut q);
-        assert!((opt.a - (1.0 + 5f64.sqrt()) / 2.0).abs() < 1e-12);
+        assert!((opt.state.a - (1.0 + 5f64.sqrt()) / 2.0).abs() < 1e-12);
     }
 }

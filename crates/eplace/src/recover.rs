@@ -4,11 +4,16 @@
 //! Nesterov's method is not a descent method: the steplength prediction of
 //! Eq. (10) can overshoot, λ can ratchet a trajectory into a region where
 //! the WA exponentials overflow, and a single non-finite gradient component
-//! poisons every later iterate. The guarded loop in [`crate::gp`] snapshots
-//! its state every `CHECKPOINT_INTERVAL` (10) iterations as a
-//! [`GpCheckpoint`]; a read-only sentinel inspects each iteration and, on a
-//! trip, the loop rewinds to the last checkpoint, clamps the steplength,
-//! re-anchors λ/γ, and resumes — up to `RECOVERY_RETRIES` (3) times before
+//! poisons every later iterate.
+//!
+//! The loop's resumable state is three values plus the iteration index: the
+//! λ/γ schedule ([`crate::GpSchedule`], owned by the cost), the optimizer
+//! trajectory ([`NesterovCheckpoint`], owned by the optimizer) and the
+//! best-solution tracker ([`BestSolution`], owned by the loop). The guarded
+//! loop in [`crate::gp`] copies them into a [`GpCheckpoint`] every
+//! `CHECKPOINT_INTERVAL` (10) iterations. A read-only sentinel inspects each
+//! iteration; on a trip the loop copies the three values back, clamps the
+//! steplength, and replays — up to `RECOVERY_RETRIES` (3) times before
 //! giving up with a structured [`eplace_errors::EplaceError::Diverged`].
 //! Both constants live in `gp.rs`.
 //!
@@ -17,6 +22,7 @@
 //! sentinel never fires on a healthy run, so the no-fault trajectory is
 //! bit-identical to the unguarded loop.
 
+use crate::cost::GpSchedule;
 use crate::nesterov::NesterovCheckpoint;
 use eplace_errors::DivergenceReason;
 use eplace_geometry::Point;
@@ -85,9 +91,22 @@ impl GradientFault {
     }
 }
 
+/// The best-solution tracker of the global-placement loop: the
+/// lowest-overflow solution seen so far, committed when the run stalls,
+/// diverges or is cancelled.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BestSolution {
+    /// Lowest overflow seen so far (`+∞` before the first iteration).
+    pub overflow: f64,
+    /// Iteration that reached `overflow`.
+    pub iteration: usize,
+    /// Positions of that solution.
+    pub pos: Vec<Point>,
+}
+
 /// Everything needed to restart the global-placement loop from a known-good
-/// iteration: the optimizer trajectory plus the scheduler state (λ, γ, the
-/// μ-rule's previous HPWL) and the best-solution tracker.
+/// iteration: the iteration index plus whole copies of the λ/γ schedule,
+/// the best-solution tracker and the optimizer trajectory.
 ///
 /// Produced every 10 iterations by
 /// [`crate::run_global_placement`] (the final one is returned in
@@ -98,24 +117,34 @@ impl GradientFault {
 pub struct GpCheckpoint {
     /// Next iteration index to execute.
     pub iteration: usize,
-    /// Penalty factor λ at the checkpoint.
-    pub lambda: f64,
-    /// Smoothing parameter γ at the checkpoint.
-    pub gamma: f64,
-    /// HPWL of the previous iteration (input to the μ update of λ).
-    pub prev_hpwl: f64,
-    /// Stage-initial HPWL (anchors the divergence threshold).
-    pub hpwl_init: f64,
-    /// ΔHPWL normalization of the μ rule.
-    pub delta_ref: f64,
-    /// Lowest overflow seen so far.
-    pub best_overflow: f64,
-    /// Iteration that produced `best_overflow`.
-    pub best_iter: usize,
-    /// Positions of the lowest-overflow solution.
-    pub best_pos: Vec<Point>,
+    /// The λ/γ schedule.
+    pub schedule: GpSchedule,
+    /// The best-solution tracker.
+    pub best: BestSolution,
     /// Optimizer trajectory state.
     pub optimizer: NesterovCheckpoint,
+}
+
+impl GpCheckpoint {
+    /// Checks that every position and gradient vector holds `n` points, so
+    /// stepping a resumed optimizer can never index out of bounds. Returns
+    /// the first mismatch as a message.
+    pub(crate) fn check_len(&self, n: usize) -> Result<(), String> {
+        let opt = &self.optimizer;
+        for (name, vec) in [
+            ("best_pos", &self.best.pos),
+            ("optimizer.u", &opt.u),
+            ("optimizer.v", &opt.v),
+            ("optimizer.v_prev", &opt.v_prev),
+            ("optimizer.g", &opt.g),
+            ("optimizer.g_prev", &opt.g_prev),
+        ] {
+            if vec.len() != n {
+                return Err(format!("{name} holds {} points, expected {n}", vec.len()));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Read-only divergence sentinel: examines one iteration's health and

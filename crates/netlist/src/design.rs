@@ -198,21 +198,7 @@ impl Design {
     /// Half-perimeter wirelength of one net at the current placement (Eq. 1),
     /// including the net weight.
     pub fn net_hpwl(&self, net: &Net) -> f64 {
-        if net.pins.len() < 2 {
-            return 0.0;
-        }
-        let mut min_x = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        for pin in &net.pins {
-            let p = self.pin_position(pin);
-            min_x = min_x.min(p.x);
-            max_x = max_x.max(p.x);
-            min_y = min_y.min(p.y);
-            max_y = max_y.max(p.y);
-        }
-        net.weight * ((max_x - min_x) + (max_y - min_y))
+        bbox_hpwl(net, |pin| self.pin_position(pin))
     }
 
     /// Total half-perimeter wirelength `W(v)` (Eq. 1).
@@ -236,23 +222,7 @@ impl Design {
         );
         self.nets
             .iter()
-            .map(|net| {
-                if net.pins.len() < 2 {
-                    return 0.0;
-                }
-                let mut min_x = f64::INFINITY;
-                let mut max_x = f64::NEG_INFINITY;
-                let mut min_y = f64::INFINITY;
-                let mut max_y = f64::NEG_INFINITY;
-                for pin in &net.pins {
-                    let p = positions[pin.cell.index()] + pin.offset;
-                    min_x = min_x.min(p.x);
-                    max_x = max_x.max(p.x);
-                    min_y = min_y.min(p.y);
-                    max_y = max_y.max(p.y);
-                }
-                net.weight * ((max_x - min_x) + (max_y - min_y))
-            })
+            .map(|net| bbox_hpwl(net, |pin| positions[pin.cell.index()] + pin.offset))
             .sum()
     }
 
@@ -367,6 +337,29 @@ impl Design {
     }
 }
 
+/// The per-net HPWL kernel behind [`Design::net_hpwl`] and
+/// [`Design::hpwl_with_positions`]: the weighted half-perimeter of the
+/// bounding box of `net`'s pins, each at `pin_pos(pin)`. Nets with fewer
+/// than two pins have length 0.
+#[inline]
+fn bbox_hpwl(net: &Net, pin_pos: impl Fn(&Pin) -> Point) -> f64 {
+    if net.pins.len() < 2 {
+        return 0.0;
+    }
+    let mut min_x = f64::INFINITY;
+    let mut max_x = f64::NEG_INFINITY;
+    let mut min_y = f64::INFINITY;
+    let mut max_y = f64::NEG_INFINITY;
+    for pin in &net.pins {
+        let p = pin_pos(pin);
+        min_x = min_x.min(p.x);
+        max_x = max_x.max(p.x);
+        min_y = min_y.min(p.y);
+        max_y = max_y.max(p.y);
+    }
+    net.weight * ((max_x - min_x) + (max_y - min_y))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,7 +412,10 @@ mod tests {
         let mut b = DesignBuilder::new("t", Rect::new(0.0, 0.0, 10.0, 10.0));
         let a = b.add_cell("a", 1.0, 1.0, CellKind::StdCell);
         b.add_net("n", vec![(a, Point::ORIGIN)]);
-        assert_eq!(b.build().hpwl(), 0.0);
+        b.add_net("empty", vec![]);
+        let d = b.build();
+        assert_eq!(d.hpwl(), 0.0);
+        assert_eq!(d.hpwl_with_positions(&[Point::new(5.0, 5.0)]), 0.0);
     }
 
     #[test]
